@@ -251,6 +251,70 @@ void BM_ServiceFullRecompileEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceFullRecompileEvent);
 
+// --- rb2 column compile and patch ---------------------------------------
+//
+// One column of the paper's router on the static-hot bench's shape (40x40,
+// 10% faults): the full compile (one Router::firstHops batch over every
+// node), and the patch of one fault toggle whose label-change footprint is
+// a single cell — the entries chaseUpstream says it can affect. The patch
+// is the small-batch path: it must not pay more than a handful of routes.
+
+namespace {
+constexpr Coord kRb2ColumnMesh = 40;
+
+Point rb2ColumnDest(const FaultSet& faults) {
+  Point dest{kRb2ColumnMesh / 2, kRb2ColumnMesh / 2};
+  while (faults.isFaulty(dest)) dest.x += 1;
+  return dest;
+}
+}  // namespace
+
+void BM_CompileColumnRb2(benchmark::State& state) {
+  const auto faults = makeFaults(
+      kRb2ColumnMesh,
+      static_cast<std::size_t>(kRb2ColumnMesh * kRb2ColumnMesh) / 10, 42);
+  const FaultAnalysis fa(faults);
+  fa.materializeAll();
+  Rb2Router rb2(fa);
+  const Point dest = rb2ColumnDest(faults);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compileRouteColumn(rb2, faults, dest));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          faults.mesh().nodeCount());  // per entry
+}
+BENCHMARK(BM_CompileColumnRb2)->Unit(benchmark::kMillisecond);
+
+void BM_PatchColumnRb2(benchmark::State& state) {
+  DynamicFaultModel model(makeFaults(
+      kRb2ColumnMesh,
+      static_cast<std::size_t>(kRb2ColumnMesh * kRb2ColumnMesh) / 10, 42));
+  model.analysis().materializeAll();
+  const Mesh2D& mesh = model.mesh();
+  Rb2Router rb2(model.analysis());
+  const Point dest = rb2ColumnDest(model.faults());
+  const RouteColumn column = compileRouteColumn(rb2, model.faults(), dest);
+  // The first toggle (scanning out from the center row) whose footprint
+  // is one cell that some chase crosses; the model stays post-toggle.
+  std::vector<NodeId> cells;
+  for (NodeId id = mesh.nodeCount() / 2; cells.size() < 2; ++id) {
+    const Point p = mesh.point(id % mesh.nodeCount());
+    if (p == dest || model.faults().isFaulty(p)) continue;
+    const FaultEvent event = model.addFaultEvent(p);
+    if (event.changedWorld.size() == 1) {
+      cells = chaseUpstream(column, mesh, {mesh.id(p)});
+    }
+    if (cells.size() < 2) model.removeFaultEvent(p);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(column.patched(rb2, model.faults(), cells));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells.size()));
+  state.SetLabel(std::to_string(cells.size()) + " entries");
+}
+BENCHMARK(BM_PatchColumnRb2)->Unit(benchmark::kMicrosecond);
+
 void BM_HealthyBfs(benchmark::State& state) {
   const auto faults = makeFaults(100, 1000, 42);
   for (auto _ : state) {

@@ -11,7 +11,7 @@ baseline), the in-process telemetry on/off overhead A/B at the
 single-core 64x64 packed point, the failpoint armed/disarmed A/B at the
 same point (both held to the <= 2% hot-path budget), the fleet chaos
 point (applier failpoints armed, bounded queues, supervisor healing on
-the clock), and the table/chase + executor micro kernels —
+the clock), and the table compile/patch/chase + executor micro kernels —
 several times each (median-of-N so one noisy
 run cannot move the record) — and emits a machine- and commit-stamped
 JSON report. The committed BENCH_service.json at the repo root is the
@@ -36,7 +36,8 @@ import subprocess
 import sys
 from datetime import datetime, timezone
 
-MICRO_FILTER = "ChaseColumn|ChaseDiverging|TaskGroupOverhead|PoolWideWait"
+MICRO_FILTER = ("ChaseColumn|ChaseDiverging|TaskGroupOverhead|PoolWideWait|"
+                "CompileColumnRb2|PatchColumnRb2")
 
 
 def run_json(cmd, extra_env=None):

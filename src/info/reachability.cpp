@@ -9,58 +9,48 @@ namespace {
 constexpr Coord sign(Coord v) { return v > 0 ? 1 : (v < 0 ? -1 : 0); }
 }  // namespace
 
-MonotoneField::MonotoneField(const Mesh2D& mesh, Point a, Point b,
-                             const Passable& passable)
+MonotoneField::MonotoneField(const Mesh2D& mesh, Point a, Point b)
     : a_(a),
       b_(b),
       rect_(Rect::between(a, b)),
       stepX_(sign(b.x - a.x)),
-      stepY_(sign(b.y - a.y)) {
+      stepY_(sign(b.y - a.y)),
+      cells_(static_cast<std::size_t>(rect_.area()), 0) {
   assert(mesh.contains(a) && mesh.contains(b));
   (void)mesh;
-  const auto cells = static_cast<std::size_t>(rect_.area());
-  reach_.assign(cells, false);
-  passable_.assign(cells, false);
+}
 
-  for (Coord y = rect_.y0; y <= rect_.y1; ++y) {
-    for (Coord x = rect_.x0; x <= rect_.x1; ++x) {
-      passable_[index({x, y})] = passable({x, y});
-    }
-  }
-
+void MonotoneField::sweep() {
   // Sweep in dependency order: predecessors of p are p - stepX and
-  // p - stepY. Iterating rows from a's side outward visits both first.
-  const Coord xBegin = stepX_ >= 0 ? rect_.x0 : rect_.x1;
-  const Coord xEnd = stepX_ >= 0 ? rect_.x1 + 1 : rect_.x0 - 1;
-  const Coord yBegin = stepY_ >= 0 ? rect_.y0 : rect_.y1;
-  const Coord yEnd = stepY_ >= 0 ? rect_.y1 + 1 : rect_.y0 - 1;
-  const Coord xInc = stepX_ >= 0 ? 1 : -1;
-  const Coord yInc = stepY_ >= 0 ? 1 : -1;
-
-  for (Coord y = yBegin; y != yEnd; y += yInc) {
-    for (Coord x = xBegin; x != xEnd; x += xInc) {
-      const Point p{x, y};
-      const std::size_t i = index(p);
-      if (!passable_[i]) continue;
-      if (p == a_) {
-        reach_[i] = true;
-        continue;
-      }
-      bool r = false;
-      if (stepX_ != 0 && p.x != a_.x) r = reach_[index({p.x - stepX_, p.y})];
-      if (!r && stepY_ != 0 && p.y != a_.y) {
-        r = reach_[index({p.x, p.y - stepY_})];
-      }
-      reach_[i] = r;
+  // p - stepY. Rows and columns run from a's corner of the rectangle
+  // outward, so both are visited first. a sits at column/row 0 of the
+  // sweep; a zero step leaves a one-wide rectangle.
+  const std::ptrdiff_t w = rect_.width();
+  const std::ptrdiff_t h = rect_.height();
+  const std::ptrdiff_t xInc = stepX_ >= 0 ? 1 : -1;
+  const std::ptrdiff_t yInc = stepY_ >= 0 ? 1 : -1;
+  std::uint8_t* const base = cells_.data();
+  for (std::ptrdiff_t row = 0; row < h; ++row) {
+    std::uint8_t* const cur = base + (yInc > 0 ? row : h - 1 - row) * w;
+    const std::uint8_t* const prev = row > 0 ? cur - yInc * w : cur;
+    for (std::ptrdiff_t col = 0; col < w; ++col) {
+      const std::ptrdiff_t x = xInc > 0 ? col : w - 1 - col;
+      if (!(cur[x] & kPassable)) continue;
+      const bool r = (row == 0 && col == 0) ||
+                     (col > 0 && (cur[x - xInc] & kReach)) ||
+                     (row > 0 && (prev[x] & kReach));
+      if (r) cur[x] |= kReach;
     }
   }
 }
 
 std::vector<Point> MonotoneField::extractPath(PathOrder order) const {
-  std::vector<Point> path;
-  if (!targetReachable()) return path;
+  if (!targetReachable()) return {};
+  // A monotone path has exactly manhattan(a, b) steps: fill it from b.
+  std::vector<Point> path(static_cast<std::size_t>(manhattan(a_, b_)) + 1);
+  std::size_t at = path.size() - 1;
   Point p = b_;
-  path.push_back(p);
+  path[at] = p;
   while (p != a_) {
     // Walk backward from b choosing a reachable predecessor. Balanced:
     // undo the dimension with the larger remaining delta — the "fully
@@ -92,9 +82,8 @@ std::vector<Point> MonotoneField::extractPath(PathOrder order) const {
       assert(false && "extractPath: no reachable predecessor");
       return {};
     }
-    path.push_back(p);
+    path[--at] = p;
   }
-  std::reverse(path.begin(), path.end());
   return path;
 }
 
@@ -104,16 +93,12 @@ std::vector<Point> MonotoneField::blockingFrontier() const {
   for (Coord y = rect_.y0; y <= rect_.y1; ++y) {
     for (Coord x = rect_.x0; x <= rect_.x1; ++x) {
       const Point p{x, y};
-      if (passable_[index(p)]) continue;
+      if (cells_[index(p)] & kPassable) continue;
       bool adjacentToReach = false;
       const Point fromX{p.x - stepX_, p.y};
       const Point fromY{p.x, p.y - stepY_};
-      if (stepX_ != 0 && rect_.contains(fromX) && reach_[index(fromX)]) {
-        adjacentToReach = true;
-      }
-      if (stepY_ != 0 && rect_.contains(fromY) && reach_[index(fromY)]) {
-        adjacentToReach = true;
-      }
+      if (stepX_ != 0 && reachable(fromX)) adjacentToReach = true;
+      if (stepY_ != 0 && reachable(fromY)) adjacentToReach = true;
       if (adjacentToReach) frontier.push_back(p);
     }
   }

@@ -5,7 +5,7 @@
 // blocking sequences (Eq. 1) without any geometric approximation.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "mesh/mesh.h"
@@ -21,17 +21,27 @@ enum class PathOrder : std::uint8_t { Balanced, XFirst };
 
 class MonotoneField {
  public:
-  using Passable = std::function<bool(Point)>;
-
   /// Computes reachability from a toward b, restricted to Rect::between(a,b).
-  /// `passable` is consulted for every cell in that rectangle.
-  MonotoneField(const Mesh2D& mesh, Point a, Point b, const Passable& passable);
+  /// `passable` (any callable bool(Point)) is consulted once for every cell
+  /// in that rectangle; taking it as a template parameter keeps the
+  /// per-cell call inlined.
+  template <class Passable>
+  MonotoneField(const Mesh2D& mesh, Point a, Point b, Passable&& passable)
+      : MonotoneField(mesh, a, b) {
+    std::size_t i = 0;
+    for (Coord y = rect_.y0; y <= rect_.y1; ++y) {
+      for (Coord x = rect_.x0; x <= rect_.x1; ++x) {
+        cells_[i++] = passable(Point{x, y}) ? kPassable : 0;
+      }
+    }
+    sweep();
+  }
 
   Point source() const { return a_; }
   Point target() const { return b_; }
 
   bool reachable(Point p) const {
-    return rect_.contains(p) && reach_[index(p)];
+    return rect_.contains(p) && (cells_[index(p)] & kReach);
   }
   bool targetReachable() const { return reachable(b_); }
 
@@ -43,6 +53,14 @@ class MonotoneField {
   std::vector<Point> blockingFrontier() const;
 
  private:
+  static constexpr std::uint8_t kPassable = 1;
+  static constexpr std::uint8_t kReach = 2;
+
+  /// Sizes the rectangle's cells; the template constructor then marks the
+  /// passable ones and runs sweep().
+  MonotoneField(const Mesh2D& mesh, Point a, Point b);
+  void sweep();
+
   std::size_t index(Point p) const {
     return static_cast<std::size_t>(p.y - rect_.y0) *
                static_cast<std::size_t>(rect_.width()) +
@@ -54,8 +72,7 @@ class MonotoneField {
   Rect rect_;
   Coord stepX_;  // sign(b.x - a.x); 0 when the leg is vertical
   Coord stepY_;
-  std::vector<bool> reach_;
-  std::vector<bool> passable_;
+  std::vector<std::uint8_t> cells_;  // kPassable | kReach bits, row-major
 };
 
 }  // namespace meshrt

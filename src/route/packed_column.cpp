@@ -46,12 +46,13 @@ PackedRouteColumn PackedRouteColumn::patched(
     Router& router, const FaultSet& faults,
     const std::vector<NodeId>& cells) const {
   PackedRouteColumn out = *this;
-  const Mesh2D& mesh = faults.mesh();
-  for (NodeId id : cells) {
+  std::vector<std::uint8_t> hops(cells.size());
+  router.firstHops(faults, dest_, cells, hops.data());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const NodeId id = cells[i];
     const std::uint8_t was = out.nibble(id);
     if (was != kNoRouteNibble) --out.routedSources_;
-    const std::uint8_t hop =
-        firstHopByte(router, faults, mesh.point(id), dest_);
+    const std::uint8_t hop = hops[i];
     if (hop == RouteColumn::kNoRoute) {
       out.setNibble(id, kNoRouteNibble);
     } else {

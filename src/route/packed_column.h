@@ -6,7 +6,7 @@
 // footprint of every column an epoch carries — a 64x64 column drops from
 // 4 KiB to 2 KiB, so a whole destination group's chases run out of L1.
 // The packed column compiles FROM a RouteColumn and patches through the
-// same firstHopByte() helper the dense encoding uses, so the two
+// same Router::firstHops batch the dense encoding uses, so the two
 // encodings are bit-identical by construction (and by differential test:
 // tests/packed_column_test.cpp).
 //
@@ -87,7 +87,7 @@ class PackedRouteColumn {
   /// Copy with the entries of `cells` recomputed as fresh first hops of
   /// `router` (which must read the post-delta analysis); every other
   /// entry is carried verbatim, the hop bound is re-derived. Mirrors
-  /// RouteColumn::patched entry for entry (same firstHopByte helper).
+  /// RouteColumn::patched entry for entry (same firstHops batch).
   PackedRouteColumn patched(Router& router, const FaultSet& faults,
                             const std::vector<NodeId>& cells) const;
 
@@ -117,7 +117,7 @@ PackedRouteColumn compilePackedRouteColumn(Router& router,
 /// slots. Under a column byte budget a Dense-encoded service's cache may
 /// DEMOTE resident dense columns to packed (the preferred resident
 /// encoding — half the bytes, identical entries by the shared
-/// firstHopByte construction), so an epoch chain can carry both
+/// firstHops construction), so an epoch chain can carry both
 /// alternatives; every serve path dispatches per slot via std::visit,
 /// and the lockstep batch engine only runs in non-Dense configurations,
 /// where demotion is a no-op.

@@ -1,6 +1,7 @@
 #include "route/planner.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "route/bfs.h"
 
@@ -14,6 +15,74 @@ constexpr std::size_t kEvalBudget = 4096;
 
 }  // namespace
 
+DestFields::DestFields(const QuadrantAnalysis& qa, Point d)
+    : d_(d),
+      width_(qa.localMesh().width()),
+      passable_(static_cast<std::size_t>(qa.localMesh().nodeCount())),
+      reach_(passable_.size(), 0) {
+  const Coord height = qa.localMesh().height();
+  for (Coord y = 0; y < height; ++y) {
+    for (Coord x = 0; x < width_; ++x) {
+      passable_[index({x, y})] = qa.mccIndexAt({x, y}) < 0 ? 1 : 0;
+    }
+  }
+  // reach(p) = passable(p) and (p == d, or reach of p's step toward d in
+  // x, or in y) — MonotoneField(p, d).targetReachable() for every p at
+  // once. Rows and columns run outward from d's, so both steps toward d
+  // are already resolved when p is visited.
+  const auto sweepRow = [&](Coord y) {
+    const Coord sy = y < d.y ? 1 : -1;
+    const auto sweepCell = [&](Coord x) {
+      const std::size_t i = index({x, y});
+      if (!passable_[i]) return;
+      if (x == d.x && y == d.y) {
+        reach_[i] = 1;
+        return;
+      }
+      const Coord sx = x < d.x ? 1 : -1;
+      reach_[i] = (x != d.x && reach_[index({x + sx, y})]) ||
+                          (y != d.y && reach_[index({x, y + sy})])
+                      ? 1
+                      : 0;
+    };
+    for (Coord x = d.x; x >= 0; --x) sweepCell(x);
+    for (Coord x = d.x + 1; x < width_; ++x) sweepCell(x);
+  };
+  for (Coord y = d.y; y >= 0; --y) sweepRow(y);
+  for (Coord y = d.y + 1; y < height; ++y) sweepRow(y);
+}
+
+Distance DestFields::distanceToDest(Point p) const {
+  if (dist_.empty()) {
+    // Reverse BFS from d: hop distances are symmetric, so dist_[p] is the
+    // exact forward distance p..d the verification needs.
+    dist_.assign(passable_.size(), kUnreachable);
+    std::vector<NodeId> queue;
+    queue.reserve(passable_.size());
+    const auto start = static_cast<NodeId>(index(d_));
+    dist_[static_cast<std::size_t>(start)] = 0;
+    queue.push_back(start);
+    const NodeId n = static_cast<NodeId>(passable_.size());
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId v = queue[head];
+      const Distance next = dist_[static_cast<std::size_t>(v)] + 1;
+      const Coord vx = v % width_;
+      const auto relax = [&](NodeId w) {
+        const auto wi = static_cast<std::size_t>(w);
+        if (passable_[wi] && dist_[wi] == kUnreachable) {
+          dist_[wi] = next;
+          queue.push_back(w);
+        }
+      };
+      if (vx + 1 < width_) relax(v + 1);
+      if (vx > 0) relax(v - 1);
+      if (v + width_ < n) relax(v + width_);
+      if (v >= width_) relax(v - width_);
+    }
+  }
+  return dist_[index(p)];
+}
+
 DetourPlanner::DetourPlanner(const QuadrantAnalysis& qa, bool exactFallback)
     : qa_(&qa), exactFallback_(exactFallback) {}
 
@@ -25,11 +94,15 @@ bool DetourPlanner::passable(Point p, const std::vector<int>* known) const {
 }
 
 std::optional<DetourPlanner::Plan> DetourPlanner::plan(
-    Point u, Point d, const std::vector<int>* known, PathOrder order) {
-  Ctx ctx{d, known, {}, {}, kEvalBudget};
+    Point u, Point d, const std::vector<int>* known, PathOrder order,
+    const DestFields* fields) {
+  if (known != nullptr) fields = nullptr;
+  assert(fields == nullptr || fields->dest() == d);
+  Ctx ctx{d, known, fields, {}, {}, kEvalBudget};
   evaluations_ = 0;
   Point target = d;
   const Distance dist = eval(ctx, u, &target);
+  const auto pass = [&](Point p) { return passable(ctx, p); };
 
   // A direct plan meets the Manhattan lower bound: provably optimal, no
   // verification needed (the common case — keeps planning cheap).
@@ -38,9 +111,8 @@ std::optional<DetourPlanner::Plan> DetourPlanner::plan(
     plan.dist = dist;
     plan.target = d;
     plan.direct = true;
-    MonotoneField leg(qa_->localMesh(), u, d,
-                      [&](Point p) { return passable(p, known); });
-    plan.legPath = leg.extractPath(order);
+    plan.legPath = MonotoneField(qa_->localMesh(), u, d, pass)
+                       .extractPath(order);
     return plan;
   }
 
@@ -49,19 +121,22 @@ std::optional<DetourPlanner::Plan> DetourPlanner::plan(
     // blocking sequence's corners are clear; dense fields can violate it.
     // The information model provides everything needed to evaluate the
     // exact distance field, so verify — and fall back when the recursion
-    // came up short (or found nothing).
-    const auto pass = [&](Point p) { return passable(p, known); };
-    const auto field = bfsDistances(qa_->localMesh(), u, pass);
-    const Distance exact = field[d];
+    // came up short (or found nothing). With destination fields the
+    // exact distance is a lookup, and the forward BFS (whose tie-breaks
+    // shape the fallback path) runs only when the fallback fires.
+    std::optional<NodeMap<Distance>> forward;
+    if (!fields) forward = bfsDistances(qa_->localMesh(), u, pass);
+    const Distance exact = fields ? fields->distanceToDest(u) : (*forward)[d];
     if (exact == kUnreachable) return std::nullopt;
     if (dist == kUnreachable || dist > exact) {
       ++fallbacksTaken_;
+      if (!forward) forward = bfsDistances(qa_->localMesh(), u, pass);
       Plan fallback;
       fallback.dist = exact;
       fallback.target = d;
       fallback.direct = false;
       fallback.viaExactFallback = true;
-      fallback.legPath = extractBfsPath(qa_->localMesh(), field, u, d);
+      fallback.legPath = extractBfsPath(qa_->localMesh(), *forward, u, d);
       return fallback;
     }
   }
@@ -71,9 +146,8 @@ std::optional<DetourPlanner::Plan> DetourPlanner::plan(
   plan.dist = dist;
   plan.target = target;
   plan.direct = (target == d);
-  MonotoneField leg(qa_->localMesh(), u, target,
-                    [&](Point p) { return passable(p, known); });
-  plan.legPath = leg.extractPath(order);
+  plan.legPath =
+      MonotoneField(qa_->localMesh(), u, target, pass).extractPath(order);
   return plan;
 }
 
@@ -83,31 +157,18 @@ Distance DetourPlanner::distance(Point u, Point d,
   return plan ? plan->dist : kUnreachable;
 }
 
-Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
-  ++evaluations_;
-  const Mesh2D& mesh = qa_->localMesh();
-  const auto pass = [&](Point p) { return passable(p, ctx.known); };
-
-  // Base case of Eq. 2: a Manhattan distance path exists.
-  MonotoneField field(mesh, a, ctx.d, pass);
-  if (field.targetReachable()) {
-    if (chosenTarget) *chosenTarget = ctx.d;
-    return manhattan(a, ctx.d);
-  }
-  if (ctx.budget == 0) return kUnreachable;
-  --ctx.budget;
-
+std::vector<Point> DetourPlanner::clearCandidates(
+    const Ctx& ctx, Point a, const MonotoneField& toDest) const {
   // The closest blocking sequence: MCCs owning the frontier cells that cut
   // a from d, ordered along the cut (Eq. 1's F_1 .. F_n).
   std::vector<int> chainIds;
-  for (Point cell : field.blockingFrontier()) {
+  for (Point cell : toDest.blockingFrontier()) {
     const int id = qa_->mccIndexAt(cell);
     if (id >= 0) chainIds.push_back(id);
   }
   std::sort(chainIds.begin(), chainIds.end());
   chainIds.erase(std::unique(chainIds.begin(), chainIds.end()),
                  chainIds.end());
-  if (chainIds.empty()) return kUnreachable;
 
   // Detour candidates (Eq. 3 generalized): the rounding extremes of every
   // chain member. The paper's P_0/P_n use c_1 and c'_n; the two-corner hops
@@ -184,13 +245,49 @@ Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
     addCandidate(resolveCorner(id, CornerKind::SE));
   }
 
-  Distance best = kUnreachable;
-  for (Point q : candidates) {
-    // The Manhattan leg a -> q must itself be clear (the paper's chains
-    // guarantee this for their candidates; we verify instead of assume).
-    MonotoneField leg(mesh, a, q, pass);
-    if (!leg.targetReachable()) continue;
+  // The Manhattan leg a -> q must itself be clear (the paper's chains
+  // guarantee this for their candidates; we verify instead of assume).
+  const auto pass = [&](Point p) { return passable(ctx, p); };
+  std::erase_if(candidates, [&](Point q) {
+    return !MonotoneField(qa_->localMesh(), a, q, pass).targetReachable();
+  });
+  return candidates;
+}
 
+Distance DetourPlanner::eval(Ctx& ctx, Point a, Point* chosenTarget) {
+  ++evaluations_;
+  const Mesh2D& mesh = qa_->localMesh();
+  const auto pass = [&](Point p) { return passable(ctx, p); };
+
+  // Base case of Eq. 2: a Manhattan distance path exists (one bitmap read
+  // with destination fields; the field a..d is then built only when a is
+  // blocked, for its frontier).
+  std::optional<MonotoneField> field;
+  if (!ctx.fields) field.emplace(mesh, a, ctx.d, pass);
+  if (ctx.fields ? ctx.fields->monotoneToDest(a) : field->targetReachable()) {
+    if (chosenTarget) *chosenTarget = ctx.d;
+    return manhattan(a, ctx.d);
+  }
+  if (ctx.budget == 0) return kUnreachable;
+  --ctx.budget;
+
+  // With destination fields the candidates are a pure function of a, so
+  // every plan of the batch that prices a reuses them (unordered_map
+  // keeps the reference valid while the recursion below inserts).
+  std::vector<Point> local;
+  const std::vector<Point>* candidates = &local;
+  if (ctx.fields) {
+    auto [it, fresh] = ctx.fields->candidates_.try_emplace(a);
+    if (fresh) {
+      it->second = clearCandidates(ctx, a, MonotoneField(mesh, a, ctx.d, pass));
+    }
+    candidates = &it->second;
+  } else {
+    local = clearCandidates(ctx, a, *field);
+  }
+
+  Distance best = kUnreachable;
+  for (Point q : *candidates) {
     Distance rest;
     if (auto it = ctx.memo.find(q); it != ctx.memo.end()) {
       rest = it->second;

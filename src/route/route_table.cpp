@@ -1,6 +1,8 @@
 #include "route/route_table.h"
 
+#include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -17,31 +19,38 @@ std::uint8_t firstHopByte(Router& router, const FaultSet& faults, Point s,
   }
   const RouteResult res = router.route(s, dest);
   if (!res.delivered || res.path.size() < 2) return RouteColumn::kNoRoute;
+  return hopByte(s, res.path[1]);
+}
+
+std::uint8_t hopByte(Point from, Point to) {
   // First hops are neighbor steps for every router in the registry;
   // anything else would corrupt the byte encoding, so drop it.
-  const Point d4 = res.path[1] - s;
+  const Point step = to - from;
   for (Dir dir : kAllDirs) {
-    if (offset(dir) == d4) return static_cast<std::uint8_t>(dir);
+    if (offset(dir) == step) return static_cast<std::uint8_t>(dir);
   }
   return RouteColumn::kNoRoute;
 }
 
-void RouteColumn::recomputeEntry(Router& router, const FaultSet& faults,
-                                 Point s) {
-  const NodeId id = faults.mesh().id(s);
-  auto& slot = next_[static_cast<std::size_t>(id)];
-  if (slot != kNoRoute) {
-    --routedSources_;
+void Router::firstHops(const FaultSet& faults, Point dest,
+                       std::span<const NodeId> sources, std::uint8_t* out) {
+  const Mesh2D& mesh = faults.mesh();
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    out[i] = firstHopByte(*this, faults, mesh.point(sources[i]), dest);
   }
-  slot = firstHopByte(router, faults, s, dest_);
-  if (slot != kNoRoute) ++routedSources_;
 }
 
 RouteColumn RouteColumn::patched(Router& router, const FaultSet& faults,
                                  const std::vector<NodeId>& cells) const {
   RouteColumn out = *this;
-  const Mesh2D& mesh = faults.mesh();
-  for (NodeId id : cells) out.recomputeEntry(router, faults, mesh.point(id));
+  std::vector<std::uint8_t> hops(cells.size());
+  router.firstHops(faults, dest_, cells, hops.data());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    auto& slot = out.next_[static_cast<std::size_t>(cells[i])];
+    if (slot != kNoRoute) --out.routedSources_;
+    slot = hops[i];
+    if (slot != kNoRoute) ++out.routedSources_;
+  }
   return out;
 }
 
@@ -50,11 +59,14 @@ RouteColumn compileRouteColumn(Router& router, const FaultSet& faults,
   const Mesh2D& mesh = faults.mesh();
   RouteColumn column(mesh, dest);
   if (faults.isFaulty(dest)) return column;  // all-kNoRoute, never served
-  for (NodeId id = 0; id < mesh.nodeCount(); ++id) {
-    const Point s = mesh.point(id);
-    if (s == dest || faults.isFaulty(s)) continue;
-    column.recomputeEntry(router, faults, s);
-  }
+  // Every node is a source: firstHopByte's contract already maps the
+  // destination itself and faulty sources to kNoRoute.
+  std::vector<NodeId> sources(column.next_.size());
+  std::iota(sources.begin(), sources.end(), NodeId{0});
+  router.firstHops(faults, dest, sources, column.next_.data());
+  column.routedSources_ = static_cast<std::size_t>(std::count_if(
+      column.next_.begin(), column.next_.end(),
+      [](std::uint8_t hop) { return hop != RouteColumn::kNoRoute; }));
   return column;
 }
 

@@ -101,9 +101,10 @@ class RouteColumn {
   std::size_t sizeBytes() const { return next_.size(); }
 
   /// Copy with the entries of `cells` recomputed as fresh first hops of
-  /// `router` (which must read the post-delta analysis); every other
-  /// entry is carried verbatim. The route service patches exactly
-  /// chaseUpstream(footprint) ∪ footprint per event.
+  /// `router` (which must read the post-delta analysis) in one
+  /// Router::firstHops batch; every other entry is carried verbatim. The
+  /// route service patches exactly chaseUpstream(footprint) ∪ footprint
+  /// per event.
   RouteColumn patched(Router& router, const FaultSet& faults,
                       const std::vector<NodeId>& cells) const;
 
@@ -111,26 +112,29 @@ class RouteColumn {
   friend RouteColumn compileRouteColumn(Router& router,
                                         const FaultSet& faults, Point dest);
 
-  /// (Re)computes one entry from a fresh route; keeps routedSources_.
-  void recomputeEntry(Router& router, const FaultSet& faults, Point s);
-
   Point dest_;
   std::vector<std::uint8_t> next_;
   std::size_t routedSources_ = 0;
 };
 
-/// Compiles the column for `dest`: one router.route(u, dest) per healthy
-/// source u, storing first hops.
+/// Compiles the column for `dest`: one Router::firstHops batch over every
+/// node, storing first hops (by default one router.route(u, dest) per
+/// healthy source u).
 RouteColumn compileRouteColumn(Router& router, const FaultSet& faults,
                                Point dest);
 
 /// First hop of router.route(s, dest) as a stored hop byte: a Dir cast,
 /// or RouteColumn::kNoRoute when the router has no route (or s is the
-/// destination, or an endpoint is faulty). The single source of truth
-/// both column encodings compile and patch through — bit-identity of
-/// RouteColumn and PackedRouteColumn rests on this sharing.
+/// destination, or an endpoint is faulty). The definition of every column
+/// entry: both encodings compile and patch through Router::firstHops,
+/// whose default loops this helper and whose overrides must match it byte
+/// for byte (tests/first_hops_test.cpp).
 std::uint8_t firstHopByte(Router& router, const FaultSet& faults, Point s,
                           Point dest);
+
+/// The stored hop byte for a step from -> to: its Dir cast, or
+/// RouteColumn::kNoRoute when `to` is not a neighbor of `from`.
+std::uint8_t hopByte(Point from, Point to);
 
 /// Serves (s, column.dest()) by chasing stored hops. `maxSteps` bounds the
 /// walk (pass mesh.nodeCount(); a livelock-free router's chase visits each

@@ -913,6 +913,10 @@ void ServiceFleet::serveCross(StitchPlanner::Session& session,
         const StitchPlanner::Waypoint& w = candidates[wi];
         const Point exit = cellIn(w);
         const Point entry = cellAcross(w);
+        // The planner vets crossings against each cell's owner. Under
+        // churn a halo replica can lag or lead its owner, so the hop is
+        // taken only when both pinned shards see both cells healthy.
+        if (faultyIn(k, entry) || faultyIn(kn, exit)) continue;
         BatchResult r;
         if (!chase(k, cur, exit, r)) {
           if (deadlined) {

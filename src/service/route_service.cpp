@@ -197,7 +197,7 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
     const auto old = snap.column(work[i].id);
     // patched() keeps the slot's alternative: a dense column patches to a
     // dense successor, a packed one to a packed successor (with its hop
-    // bound re-derived) — both through the same firstHopByte helper.
+    // bound re-derived) — both through the same Router::firstHops batch.
     auto successor = std::visit(
         [&](const auto& c) {
           return ColumnVariant(c.patched(router, snap.faults(),

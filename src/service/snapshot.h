@@ -169,7 +169,7 @@ class ServiceSnapshot {
   /// Evicts (and demotes) columns until the resident footprint fits
   /// policy.budgetBytes, CLOCK second-chance order from the persisted
   /// hand. Dense slots are demoted to their packed twin first (half the
-  /// bytes, identical entries by the shared firstHopByte construction);
+  /// bytes, identical entries by the shared firstHops construction);
   /// packed slots with the ref bit get a second chance; slots with
   /// outstanding pins (batch handles, or pages still shared with a
   /// not-yet-drained neighbor epoch, where eviction would free nothing)

@@ -1,6 +1,8 @@
 // End-to-end routing tests: Theorem 1 (RB2 finds a true shortest path),
 // Theorem 2 (RB3 matches RB2 from boundary sources), path validity for
 // every router, and baseline behavior.
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "fault/analysis.h"
@@ -147,10 +149,15 @@ TEST(PlannerTest, UnreachableWhenSafeGraphDisconnected) {
 // random safe, healthy-connected pairs, RB2 delivers a path of exactly the
 // healthy-BFS length.
 // ---------------------------------------------------------------------------
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must carry no padding: with an `int` seed the four pad bytes were
+// uninitialised and the case names changed from one process to the next.
 struct TheoremCase {
-  int seed;
+  std::int64_t seed;
   std::size_t faults;
 };
+static_assert(sizeof(TheoremCase) == sizeof(std::int64_t) + sizeof(std::size_t),
+              "TheoremCase must have no padding bytes");
 
 class Theorem1 : public ::testing::TestWithParam<TheoremCase> {};
 
