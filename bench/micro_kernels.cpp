@@ -329,7 +329,9 @@ BENCHMARK(BM_HealthyBfs);
 // add per step. BM_ChaseColumnHashed is the counterfactual the table
 // layer moved away from — the same chase against next hops stored in an
 // unordered_map, paying a hash probe per step. The pair quantifies the
-// columns_ flattening on the serving hot path.
+// columns_ flattening on the serving hot path. Every chase row counts
+// served queries as items: the packed rows stop at the first minimal
+// node and no longer walk every hop, so a hop rate would overstate them.
 
 namespace {
 constexpr Coord kChaseMesh = 64;
@@ -365,14 +367,12 @@ void BM_ChaseColumnDense(benchmark::State& state) {
   const Mesh2D& mesh = fx.faults.mesh();
   const auto maxSteps = static_cast<std::size_t>(mesh.nodeCount());
   std::size_t i = 0;
-  std::uint64_t hops = 0;
   for (auto _ : state) {
     const ServedRoute res = chaseColumn(
         fx.column, mesh, fx.sources[i++ & 255], maxSteps, false);
-    hops += static_cast<std::uint64_t>(res.hops);
     benchmark::DoNotOptimize(res.status);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(hops));  // per-hop rate
+  state.SetItemsProcessed(state.iterations());  // queries
 }
 BENCHMARK(BM_ChaseColumnDense);
 
@@ -388,14 +388,12 @@ void BM_ChaseColumnHashed(benchmark::State& state) {
   const NodeId dest = mesh.id(fx.column.dest());
   const auto maxSteps = static_cast<std::size_t>(mesh.nodeCount());
   std::size_t i = 0;
-  std::uint64_t hops = 0;
   for (auto _ : state) {
     NodeId u = mesh.id(fx.sources[i++ & 255]);
     ServeStatus status = ServeStatus::Diverged;
     for (std::size_t step = 0; step <= maxSteps; ++step) {
       if (u == dest) {
         status = ServeStatus::Delivered;
-        hops += step;
         break;
       }
       const std::uint8_t hop = nextByNode.find(u)->second;
@@ -407,7 +405,7 @@ void BM_ChaseColumnHashed(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(status);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(hops));
+  state.SetItemsProcessed(state.iterations());  // queries
 }
 BENCHMARK(BM_ChaseColumnHashed);
 
@@ -415,29 +413,23 @@ BENCHMARK(BM_ChaseColumnHashed);
 //
 // BM_ChaseColumnPacked is the single-query chase over the half-footprint
 // packed encoding (same serial chain as Dense, nibble extraction per
-// step). The Lockstep/Simd pair chases the fixture's 256 sources as one
-// batch per iteration — the serving shape RouteService's fast path
-// feeds chaseBatch — and reports per-hop throughput like the scalar
-// rows, so the table reads as a ladder: hash probe -> dense byte ->
-// packed nibble -> 8-lane lockstep -> AVX2 gather lanes.
+// step, stopping at the first minimal node). The Lockstep/Simd pair
+// chases the fixture's 256 sources as one batch per iteration — the
+// lane engines RouteService's fast path feeds with its non-minimal
+// sources — and reports queries/s like the scalar rows, so the table
+// reads as a ladder: hash probe -> dense byte -> packed nibble -> 8-lane
+// lockstep -> AVX2 gather lanes.
 
 namespace {
 struct PackedChaseFixture {
   const ChaseFixture& base;
   PackedRouteColumn packed;
   std::vector<NodeId> sourceIds;
-  std::uint64_t totalHops = 0;
 
   PackedChaseFixture()
       : base(denseFixture()), packed(base.column, base.faults.mesh()) {
     const Mesh2D& mesh = base.faults.mesh();
     for (const Point s : base.sources) sourceIds.push_back(mesh.id(s));
-    for (const Point s : base.sources) {
-      const ServedRoute res =
-          chaseColumn(base.column, mesh, s,
-                      static_cast<std::size_t>(mesh.nodeCount()), false);
-      totalHops += static_cast<std::uint64_t>(res.hops);
-    }
   }
 
   static const ChaseFixture& denseFixture() {
@@ -452,14 +444,12 @@ void BM_ChaseColumnPacked(benchmark::State& state) {
   const Mesh2D& mesh = fx.base.faults.mesh();
   const auto maxSteps = static_cast<std::size_t>(mesh.nodeCount());
   std::size_t i = 0;
-  std::uint64_t hops = 0;
   for (auto _ : state) {
     const ServedRoute res = chaseColumn(
         fx.packed, mesh, fx.base.sources[i++ & 255], maxSteps, false);
-    hops += static_cast<std::uint64_t>(res.hops);
     benchmark::DoNotOptimize(res.status);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(hops));  // per-hop rate
+  state.SetItemsProcessed(state.iterations());  // queries
 }
 BENCHMARK(BM_ChaseColumnPacked);
 
@@ -472,9 +462,9 @@ void BM_ChaseColumnLockstep(benchmark::State& state) {
     chaseBatchScalar(fx.packed, fx.sourceIds.data(), fx.sourceIds.size(),
                      fx.packed.hopBound(), status.data(), hops.data());
     benchmark::DoNotOptimize(status.data());
-    total += fx.totalHops;
+    total += fx.sourceIds.size();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(total));
+  state.SetItemsProcessed(static_cast<std::int64_t>(total));  // queries
 }
 BENCHMARK(BM_ChaseColumnLockstep);
 
@@ -491,9 +481,9 @@ void BM_ChaseColumnSimd(benchmark::State& state) {
     chaseBatchAvx2(fx.packed, fx.sourceIds.data(), fx.sourceIds.size(),
                    fx.packed.hopBound(), status.data(), hops.data());
     benchmark::DoNotOptimize(status.data());
-    total += fx.totalHops;
+    total += fx.sourceIds.size();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(total));
+  state.SetItemsProcessed(static_cast<std::int64_t>(total));  // queries
 }
 BENCHMARK(BM_ChaseColumnSimd);
 

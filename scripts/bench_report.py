@@ -39,6 +39,10 @@ from datetime import datetime, timezone
 MICRO_FILTER = ("ChaseColumn|ChaseDiverging|TaskGroupOverhead|PoolWideWait|"
                 "CompileColumnRb2|PatchColumnRb2")
 
+# Google Benchmark reports cpu_time in each row's time_unit (the compile
+# and patch rows use ms and us); the report keeps everything in ns.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 
 def run_json(cmd, extra_env=None):
     """Runs cmd, returns parsed JSON from stdout (benches keep json
@@ -298,7 +302,9 @@ def main():
                              f"--benchmark_filter={MICRO_FILTER}",
                              "--benchmark_format=json"])
             per_run.append([
-                {"name": b["name"], "cpu_ns": b["cpu_time"],
+                {"name": b["name"],
+                 "cpu_ns": b["cpu_time"] * NS_PER_UNIT[b.get("time_unit",
+                                                            "ns")],
                  "items_per_second": b.get("items_per_second", 0.0)}
                 for b in data["benchmarks"]])
         report["micro_kernels"] = median_by_key(

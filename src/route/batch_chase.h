@@ -6,10 +6,12 @@
 // against the SAME column in lockstep turns that latency bound into a
 // throughput bound: 8 independent chains per chunk advance one hop per
 // iteration each (SoA lane state: current id, hop count, status), lanes
-// retire by mask on delivery or no-route, and the column's precomputed
-// hop bound is the single loop bound — any lane still active after
-// hopBound() steps has provably diverged (see packed_column.h), so the
-// hot loop carries no per-lane step bookkeeping at all.
+// retire by mask at their first minimal node (kMinimalBit: the rest of
+// the walk is Manhattan-long, so its length is known) or on no-route,
+// and the column's precomputed hop bound is the single loop bound — any
+// lane still active after hopBound() steps has provably diverged (see
+// packed_column.h), so the hot loop carries no per-lane step
+// bookkeeping at all.
 //
 // Two interchangeable engines produce bit-identical results:
 //  - chaseBatchScalar: portable 8-lane scalar lockstep (array lanes, no

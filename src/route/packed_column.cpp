@@ -27,11 +27,19 @@ PackedRouteColumn::PackedRouteColumn(const RouteColumn& dense,
                static_cast<std::uint8_t>(kNoRouteNibble | (kNoRouteNibble
                                                            << 4))),
       routedSources_(dense.routedSources()) {
+  // Reciprocal of the width for distanceToDest: with 2^(L-1) < width <=
+  // 2^L and magic = ceil(2^(31+L) / width), (id * magic) >> (31+L) is
+  // id / width for every 0 <= id < 2^31, and the product fits 64 bits.
+  int log2Width = 0;
+  while ((NodeId{1} << log2Width) < width_) ++log2Width;
+  rowShift_ = 31 + log2Width;
+  const auto width = static_cast<std::uint64_t>(width_);
+  rowMagic_ = ((std::uint64_t{1} << rowShift_) + width - 1) / width;
   for (NodeId id = 0; id < nodeCount_; ++id) {
     const std::uint8_t hop = dense.next(id);
     setNibble(id, hop == RouteColumn::kNoRoute ? kNoRouteNibble : hop);
   }
-  hopBound_ = deriveHopBound();
+  resolveChases();
 }
 
 void PackedRouteColumn::setNibble(NodeId id, std::uint8_t value) {
@@ -60,11 +68,11 @@ PackedRouteColumn PackedRouteColumn::patched(
       ++out.routedSources_;
     }
   }
-  out.hopBound_ = out.deriveHopBound();
+  out.resolveChases();
   return out;
 }
 
-std::uint32_t PackedRouteColumn::deriveHopBound() const {
+void PackedRouteColumn::resolveChases() {
   // Chase length per node over the functional hop graph, resolved with
   // one memoized walk per unresolved node: follow hops until reaching
   // the destination (0 steps there), a no-route entry (its chase
@@ -73,6 +81,20 @@ std::uint32_t PackedRouteColumn::deriveHopBound() const {
   // cycle and never terminates). A terminating chase never revisits a
   // node, so every finite length — and hence the bound — is <=
   // nodeCount. O(nodeCount) total: each node is walked exactly once.
+  //
+  // The minimal bits ride the same unwinding. A node is minimal iff its
+  // successor is minimal and its own length equals its Manhattan
+  // distance (each hop moves the distance by exactly one, so that holds
+  // iff the hop closes in on the destination). No-route and cycle
+  // suffixes are never minimal; the destination is (0 hops, distance 0).
+  for (std::uint8_t& byte : nibbles_) byte &= 0x77;  // patches re-derive
+  const auto setMinimal = [this](NodeId id) {
+    const auto i = static_cast<std::size_t>(id);
+    nibbles_[i >> 1] |=
+        static_cast<std::uint8_t>(kMinimalBit << ((i & 1) * 4));
+  };
+  setMinimal(destId_);
+
   const auto n = static_cast<std::size_t>(nodeCount_);
   std::vector<std::int64_t> length(n, kUnvisited);
   constexpr std::int64_t kOnWalk = -3;
@@ -85,8 +107,12 @@ std::uint32_t PackedRouteColumn::deriveHopBound() const {
     NodeId u = start;
     std::int64_t base = 0;
     bool cycle = false;
+    bool minimalSuffix = false;
     while (true) {
-      if (u == destId_) break;  // delivered in 0 further steps
+      if (u == destId_) {  // delivered in 0 further steps
+        minimalSuffix = true;
+        break;
+      }
       auto& mark = length[static_cast<std::size_t>(u)];
       if (mark == kOnWalk) {
         cycle = true;
@@ -98,6 +124,7 @@ std::uint32_t PackedRouteColumn::deriveHopBound() const {
       }
       if (mark != kUnvisited) {
         base = mark;
+        minimalSuffix = minimal(u);
         break;
       }
       const std::uint8_t raw = nibble(u);
@@ -116,10 +143,12 @@ std::uint32_t PackedRouteColumn::deriveHopBound() const {
       } else {
         mark = ++base;
         bound = std::max(bound, base);
+        minimalSuffix = minimalSuffix && base == distanceToDest(*it);
+        if (minimalSuffix) setMinimal(*it);
       }
     }
   }
-  return static_cast<std::uint32_t>(
+  hopBound_ = static_cast<std::uint32_t>(
       std::min<std::int64_t>(bound, nodeCount_));
 }
 

@@ -10,19 +10,30 @@
 // encodings are bit-identical by construction (and by differential test:
 // tests/packed_column_test.cpp).
 //
+// The 4th bit of every nibble (kMinimalBit) marks the nodes whose chase
+// delivers in exactly manhattan(u, dest) hops — the Theorem 1 common
+// case for rb2. A chase that reaches such a node after k steps delivers
+// in k + manhattan(u, dest) hops, so every chase engine retires it there
+// without walking the rest (see chaseColumn and route/batch_chase.h).
+//
 // Each column also carries its chase hop bound: the longest terminating
-// chase (delivered or no-route) over the column, derived during
-// compilation by resolving the functional hop graph and re-derived on
-// every patch. A terminating chase never revisits a node (revisiting
-// would cycle forever), so bound <= nodeCount, and a lockstep batch loop
-// can run exactly `bound` steps with NO per-lane step bookkeeping:
-// every lane still active afterwards would also still be active after
-// nodeCount steps, i.e. it diverged. That hoists the livelock guard out
-// of the hot loop and turns Diverged detection into an end-of-chase
-// mask check — see DESIGN.md section 10 and route/batch_chase.h.
+// chase (delivered or no-route) over the column. One memoized pass over
+// the functional hop graph (resolveChases) derives both the bound and
+// the minimal bits, at compile and on every patch. A terminating chase
+// never revisits a node (revisiting would cycle forever), so bound <=
+// nodeCount, and a lockstep batch loop can run exactly `bound` steps
+// with NO per-lane step bookkeeping: every lane still active afterwards
+// would also still be active after nodeCount steps, i.e. it diverged.
+// That hoists the livelock guard out of the hot loop and turns Diverged
+// detection into an end-of-chase mask check. The minimal shortcut needs
+// no bound of its own: a chase at minimal node u after k steps delivers
+// at exactly k + manhattan(u, dest), so under any step cap it is
+// Delivered when that fits and Diverged otherwise. See DESIGN.md
+// section 10.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <variant>
 #include <vector>
 
@@ -42,14 +53,16 @@ class PackedRouteColumn {
   /// occupy 0..3; anything with bit 2 set is "no route", and compiles
   /// write exactly 7 so the SIMD lanes can test one constant).
   static constexpr std::uint8_t kNoRouteNibble = 0x7;
+  /// Spare 4th nibble bit: set on u exactly when the chase from u
+  /// delivers in manhattan(u, dest) hops (the destination included).
+  static constexpr std::uint8_t kMinimalBit = 0x8;
 
   /// Packs `dense` (compiled or patched by the usual route_table path).
-  /// The hop bound is derived here: one memoized pass over the hop
-  /// graph, O(nodeCount).
+  /// The hop bound and the minimal bits are derived here: one memoized
+  /// pass over the hop graph, O(nodeCount).
   PackedRouteColumn(const RouteColumn& dense, const Mesh2D& mesh);
 
   Point dest() const { return dest_; }
-  NodeId destId() const { return destId_; }
   Coord width() const { return width_; }
   NodeId nodeCount() const { return nodeCount_; }
 
@@ -61,11 +74,29 @@ class PackedRouteColumn {
     return (raw & 0x4) ? RouteColumn::kNoRoute : raw;
   }
 
-  /// Raw 3-bit entry (a Dir value or kNoRouteNibble).
+  /// Raw 3-bit entry (a Dir value or kNoRouteNibble), minimal bit
+  /// stripped.
   std::uint8_t nibble(NodeId id) const {
     const auto i = static_cast<std::size_t>(id);
     return static_cast<std::uint8_t>(
         (nibbles_[i >> 1] >> ((i & 1) * 4)) & 0x7);
+  }
+
+  /// True when the chase from node id delivers in exactly
+  /// distanceToDest(id) hops (kMinimalBit).
+  bool minimal(NodeId id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return (nibbles_[i >> 1] >> ((i & 1) * 4)) & kMinimalBit;
+  }
+
+  /// Manhattan distance from node id to the destination. The row comes
+  /// from a multiply by the width's precomputed reciprocal, not a
+  /// hardware divide (exact for every id < 2^31: Granlund-Montgomery).
+  std::int32_t distanceToDest(NodeId id) const {
+    const auto row = static_cast<NodeId>(
+        (static_cast<std::uint64_t>(id) * rowMagic_) >> rowShift_);
+    const NodeId col = id - row * width_;
+    return std::abs(col - dest_.x) + std::abs(row - dest_.y);
   }
 
   /// Base of the packed bytes for the batch-chase kernels. Padded with
@@ -76,7 +107,7 @@ class PackedRouteColumn {
   /// Number of sources with a stored hop (serving coverage).
   std::size_t routedSources() const { return routedSources_; }
 
-  /// Resident payload bytes (two 3-bit entries per byte plus the gather
+  /// Resident payload bytes (two 4-bit entries per byte plus the gather
   /// padding) — the bounded column cache's accounting unit.
   std::size_t sizeBytes() const { return nibbles_.size(); }
 
@@ -86,15 +117,17 @@ class PackedRouteColumn {
 
   /// Copy with the entries of `cells` recomputed as fresh first hops of
   /// `router` (which must read the post-delta analysis); every other
-  /// entry is carried verbatim, the hop bound is re-derived. Mirrors
+  /// entry is carried verbatim, the hop bound and minimal bits are
+  /// re-derived (so the bytes equal a fresh compile's). Mirrors
   /// RouteColumn::patched entry for entry (same firstHops batch).
   PackedRouteColumn patched(Router& router, const FaultSet& faults,
                             const std::vector<NodeId>& cells) const;
 
  private:
   void setNibble(NodeId id, std::uint8_t value);
-  /// Resolves the functional hop graph: max finite chase length.
-  std::uint32_t deriveHopBound() const;
+  /// Resolves the functional hop graph: sets hopBound_ to the max finite
+  /// chase length and kMinimalBit on exactly the minimal nodes.
+  void resolveChases();
 
   Point dest_;
   NodeId destId_;
@@ -103,6 +136,9 @@ class PackedRouteColumn {
   std::vector<std::uint8_t> nibbles_;
   std::size_t routedSources_ = 0;
   std::uint32_t hopBound_ = 0;
+  /// row(id) = (id * rowMagic_) >> rowShift_ (see distanceToDest).
+  std::uint64_t rowMagic_ = 0;
+  int rowShift_ = 0;
 };
 
 /// Compiles the packed column for `dest` by packing the dense compile —

@@ -141,7 +141,11 @@ std::uint8_t hopByte(Point from, Point to);
 /// node at most once). Endpoint fault checks are the caller's job — the
 /// chase itself never consults the fault set. Works on either column
 /// encoding (anything with next()/dest() in the RouteColumn byte
-/// convention — RouteColumn or PackedRouteColumn).
+/// convention — RouteColumn or PackedRouteColumn). On a packed column
+/// without a path, the chase stops at its first minimal node u after k
+/// steps: the rest of the walk takes exactly manhattan(u, dest) hops, so
+/// it is Delivered in k + manhattan(u, dest) hops when that is at most
+/// maxSteps and Diverged otherwise.
 template <class Column>
 ServedRoute chaseColumn(const Column& column, const Mesh2D& mesh, Point s,
                         std::size_t maxSteps, bool wantPath) {
@@ -158,6 +162,16 @@ ServedRoute chaseColumn(const Column& column, const Mesh2D& mesh, Point s,
   const NodeId dest = mesh.id(column.dest());
   Point p = s;  // tracked only for path capture
   for (std::size_t step = 0; step <= maxSteps; ++step) {
+    if constexpr (requires { column.minimal(u); }) {
+      if (!wantPath && column.minimal(u)) {  // the destination included
+        const std::size_t total =
+            step + static_cast<std::size_t>(column.distanceToDest(u));
+        if (total > maxSteps) break;  // Diverged, as the walk would be
+        out.status = ServeStatus::Delivered;
+        out.hops = static_cast<Distance>(total);
+        return out;
+      }
+    }
     if (u == dest) {
       out.status = ServeStatus::Delivered;
       out.hops = static_cast<Distance>(step);

@@ -44,6 +44,7 @@ RouteService::RouteService(const FaultSet& initial, ServiceConfig cfg)
   snapshotsPublished_ = reg.counter("service.snapshots_published");
   queriesServed_ = reg.counter("service.queries_served");
   chasesDiverged_ = reg.counter("service.chases_diverged");
+  chasesRetiredMinimal_ = reg.counter("service.chases_retired_minimal");
   columnsEvicted_ = reg.counter("service.columns.evicted");
   columnsDemoted_ = reg.counter("service.columns.demoted");
   columnsRecompiled_ = reg.counter("service.columns.recompiled");
@@ -408,6 +409,7 @@ BatchResult RouteService::serveOn(
     TraceSpan chaseSpan(serveChaseNs_.get());
     const auto bound = static_cast<std::size_t>(m.nodeCount());
     std::uint64_t divergedInline = 0;
+    std::uint64_t minimalInline = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const Query& q = batch[i];
       if (pastDeadline()) {
@@ -441,7 +443,17 @@ BatchResult RouteService::serveOn(
             if constexpr (requires { c.hopBound(); }) {
               if (!wantPaths) steps = c.hopBound();
             }
-            return chaseColumn(c, m, q.s, steps, wantPaths);
+            ServedRoute r = chaseColumn(c, m, q.s, steps, wantPaths);
+            if constexpr (requires { c.hopBound(); }) {
+              // The chase answers a minimal source from its bit at step
+              // 0, and a source is minimal exactly when it delivers in
+              // Manhattan hops.
+              if (!wantPaths && r.delivered() &&
+                  r.hops == manhattan(q.s, q.d)) {
+                ++minimalInline;
+              }
+            }
+            return r;
           },
           *column);
       out.status[i] = res.status;
@@ -454,6 +466,7 @@ BatchResult RouteService::serveOn(
     chaseSpan.stop();
     queriesServed_->add(batch.size());
     if (divergedInline != 0) chasesDiverged_->add(divergedInline);
+    if (minimalInline != 0) chasesRetiredMinimal_->add(minimalInline);
     resolved.clear();  // release the pins, or the sweep must skip them
     maybeEnforceBudget(*snap);
     return out;
@@ -543,16 +556,15 @@ BatchResult RouteService::serveOn(
     TraceSpan compileSpan(serveCompileNs_.get());
     pinned = pinOrCompile(*snap, dests);
   }
-  std::vector<const ColumnVariant*> byDest(
-      static_cast<std::size_t>(m.nodeCount()), nullptr);
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    byDest[static_cast<std::size_t>(dests[i])] = pinned[i].get();
-  }
-
-  const auto maxSteps = static_cast<std::size_t>(m.nodeCount());
   std::atomic<std::uint64_t> diverged{0};
 
   if (!lockstep) {
+    std::vector<const ColumnVariant*> byDest(
+        static_cast<std::size_t>(m.nodeCount()), nullptr);
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      byDest[static_cast<std::size_t>(dests[i])] = pinned[i].get();
+    }
+    const auto maxSteps = static_cast<std::size_t>(m.nodeCount());
     TraceSpan chaseSpan(serveChaseNs_.get());
     parallelFor(pool_, batch.size(), [&](std::size_t i) {
       const Query& q = batch[i];
@@ -599,22 +611,38 @@ BatchResult RouteService::serveOn(
   // classification pass above; the fill pass reuses its cached ids so
   // the batch sees no second round of fault lookups.
   TraceSpan chaseSpan(serveChaseNs_.get());
+  std::vector<const PackedRouteColumn*> packedOf(
+      static_cast<std::size_t>(m.nodeCount()), nullptr);
   std::vector<std::uint32_t> groupStart(
       static_cast<std::size_t>(m.nodeCount()), 0);
   {
     std::uint32_t cursor = 0;
-    for (const NodeId d : dests) {
-      const auto di = static_cast<std::size_t>(d);
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      const auto di = static_cast<std::size_t>(dests[i]);
+      packedOf[di] = std::get_if<PackedRouteColumn>(pinned[i].get());
       groupStart[di] = cursor;
       cursor += countByDest[di];
       countByDest[di] = 0;  // reused as the per-group fill cursor
     }
   }
+  // The fill pass answers every source whose own chase is Manhattan-
+  // minimal straight from its column bit and the query's Points (exact:
+  // that chase delivers in manhattan(s, d) <= hopBound() hops, the
+  // lanes' cap), so only the rest enter lanes; each group fills a
+  // prefix of its range.
   std::vector<std::uint32_t> queryOf(chaseable);   // grouped -> batch index
   std::vector<NodeId> srcIds(chaseable);           // grouped source ids
+  std::uint64_t retiredMinimal = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (destOf[i] == kSkipQuery) continue;
     const auto di = static_cast<std::size_t>(destOf[i]);
+    if (packedOf[di]->minimal(srcOf[i])) {
+      out.status[i] = ServeStatus::Delivered;
+      out.hops[i] =
+          static_cast<std::int32_t>(manhattan(batch[i].s, batch[i].d));
+      ++retiredMinimal;
+      continue;
+    }
     const std::uint32_t pos = groupStart[di] + countByDest[di]++;
     queryOf[pos] = static_cast<std::uint32_t>(i);
     srcIds[pos] = srcOf[i];
@@ -635,8 +663,7 @@ BatchResult RouteService::serveOn(
     const std::uint32_t begin = groupStart[di];
     const std::uint32_t end = begin + countByDest[di];
     if (begin == end) continue;
-    const auto* column =
-        std::get_if<PackedRouteColumn>(byDest[di]);
+    const PackedRouteColumn* column = packedOf[di];
     for (std::uint32_t b = begin; b < end; b += kChunk) {
       jobs.push_back(ChaseJob{column, b, std::min(end, b + kChunk)});
     }
@@ -670,6 +697,7 @@ BatchResult RouteService::serveOn(
   chaseSpan.stop();
   queriesServed_->add(batch.size());
   if (diverged.load() != 0) chasesDiverged_->add(diverged.load());
+  if (retiredMinimal != 0) chasesRetiredMinimal_->add(retiredMinimal);
   pinned.clear();
   maybeEnforceBudget(*snap);
   return out;

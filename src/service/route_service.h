@@ -294,6 +294,9 @@ class RouteService {
   std::shared_ptr<Counter> snapshotsPublished_;
   std::shared_ptr<Counter> queriesServed_;
   std::shared_ptr<Counter> chasesDiverged_;
+  /// Chaseable queries answered from their source's minimal bit with no
+  /// walk at all (packed columns, status/hops serves).
+  std::shared_ptr<Counter> chasesRetiredMinimal_;
   std::shared_ptr<Counter> columnsEvicted_;
   std::shared_ptr<Counter> columnsDemoted_;
   std::shared_ptr<Counter> columnsRecompiled_;
