@@ -8,13 +8,13 @@
 //
 // The writer side is instrumented too: every applyAdd/RemoveFault call
 // is timed and the p50/p99 publish latencies are reported per row —
-// this is the number the copy-on-write paged storage exists for, and
-// --storage cow,deep A/Bs it against the pre-COW deep-clone baseline
-// (same binary; see ServiceConfig::storage and DESIGN.md section 9).
+// this is the number the copy-on-write paged storage exists for (the
+// pre-COW deep-clone baseline's figures are recorded in
+// BENCH_service.json; see DESIGN.md section 9).
 //
 //   ./service_churn_qps --meshes 64 --readers 4 --threads 4
 //   ./service_churn_qps --meshes 256,512 --readers 0 --writers 1
-//       --events 200 --storage cow,deep     # writer-only publish latency
+//       --events 200                     # writer-only publish latency
 //   ./service_churn_qps --smoke          # seconds-fast CI configuration
 //
 // The writers=0 row measures pure serve/serve overlap; the writers=1 row
@@ -55,19 +55,11 @@ double percentileUs(const std::vector<double>& sorted, double q) {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
-SnapshotStorage parseStorage(const std::string& name) {
-  if (name == "cow") return SnapshotStorage::Cow;
-  if (name == "deep") return SnapshotStorage::DeepClone;
-  std::cerr << "unknown --storage '" << name << "' (expected cow or deep)\n";
-  std::exit(1);
-}
-
 ColumnEncoding parseEncoding(const std::string& name) {
-  if (name == "dense") return ColumnEncoding::Dense;
   if (name == "packed") return ColumnEncoding::Packed;
   if (name == "packed-scalar") return ColumnEncoding::PackedScalar;
   std::cerr << "unknown --encoding '" << name
-            << "' (expected dense, packed or packed-scalar)\n";
+            << "' (expected packed or packed-scalar)\n";
   std::exit(1);
 }
 
@@ -88,13 +80,9 @@ int main(int argc, char** argv) {
   flags.define("writers", "0,1",
                "comma-separated churn-writer counts per row (0 = overlap "
                "only, 1 = overlap + live fault churn)");
-  flags.define("storage", "cow",
-               "comma-separated snapshot storage modes per row: cow "
-               "(paged copy-on-write) and/or deep (pre-COW deep-clone "
-               "baseline)");
   flags.define("encoding", "packed",
-               "comma-separated column encodings per row: dense, packed "
-               "and/or packed-scalar");
+               "comma-separated serve engines per row: packed and/or "
+               "packed-scalar");
   flags.define("queries", "20000", "queries per served batch");
   flags.define("dests", "64", "distinct destinations in the shared pool");
   flags.define("rounds", "8", "measured batches per reader");
@@ -117,10 +105,6 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> writerCounts;
   for (const std::string& item : splitCommaList(flags.str("writers"))) {
     writerCounts.push_back(parseCount(item, "writers"));
-  }
-  std::vector<SnapshotStorage> storages;
-  for (const std::string& item : splitCommaList(flags.str("storage"))) {
-    storages.push_back(parseStorage(item));
   }
   std::vector<ColumnEncoding> encodings;
   for (const std::string& item : splitCommaList(flags.str("encoding"))) {
@@ -176,7 +160,7 @@ int main(int argc, char** argv) {
       flags.str("metrics-out"),
       static_cast<std::uint64_t>(flags.integer("metrics-every")));
 
-  Table table({"mesh", "readers", "writers", "storage", "encoding",
+  Table table({"mesh", "readers", "writers", "encoding",
                "agg_qps", "reader_qps", "events", "events/s", "pub_p50_us",
                "pub_p99_us", "delivered"});
   for (std::size_t meshSize : meshes) {
@@ -203,15 +187,10 @@ int main(int argc, char** argv) {
     }
 
     for (std::size_t writers : writerCounts) {
-      for (SnapshotStorage storage : storages) {
       for (ColumnEncoding encoding : encodings) {
-      // Storage only matters once epochs are published; a writers=0 row
-      // per storage mode would measure the same code path twice.
-      if (writers == 0 && storage != storages.front()) continue;
       ServiceConfig cfg;
       cfg.routerKey = routerKey;
       cfg.threads = threads;
-      cfg.storage = storage;
       cfg.encoding = encoding;
       RouteService service(faults, cfg);
 
@@ -304,7 +283,6 @@ int main(int argc, char** argv) {
       row.cell(static_cast<std::int64_t>(meshSize));
       row.cell(static_cast<std::int64_t>(readers));
       row.cell(static_cast<std::int64_t>(writers));
-      row.cell(std::string(snapshotStorageName(storage)));
       row.cell(std::string(columnEncodingName(encoding)));
       row.cell(total / seconds, 0);
       row.cell(readers == 0 ? 0.0
@@ -318,7 +296,6 @@ int main(int argc, char** argv) {
                    ? 0.0
                    : 100.0 * static_cast<double>(delivered.load()) / total,
                2);
-      }
       }
     }
   }

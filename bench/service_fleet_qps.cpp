@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
   flags.define("column-budget-mb", "0",
                "resident column budget per service in MiB (each fleet "
                "shard gets this budget; 0 = unbounded). Over budget, "
-               "snapshots demote dense columns to packed and run CLOCK "
-               "second-chance eviction; evicted columns recompile "
+               "snapshots run CLOCK second-chance eviction; evicted "
+               "columns recompile "
                "bit-identically on next touch (DESIGN.md section 14)");
   flags.define("stitch-plan", "hier",
                "cross-shard planning: hier (epoch-cached shard-adjacency "

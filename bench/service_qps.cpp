@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
   flags.define("fault-rate", "0.10", "initial fault fraction of nodes");
   flags.define("router", "rb2", "registry key the tables compile");
   flags.define("threads", "0", "service worker threads (0 = all cores)");
-  flags.define("encoding", "packed,dense",
-               "comma-separated column encodings to A/B: dense, packed, "
-               "packed-scalar");
+  flags.define("encoding", "packed,packed-scalar",
+               "comma-separated serve engines to A/B: packed (SIMD "
+               "lockstep when the CPU has AVX2), packed-scalar");
   flags.define("queries", "100000", "queries per measured batch");
   flags.define("dests", "64", "distinct destinations in the batch");
   flags.define("batches", "5", "measured batches per row");
@@ -101,9 +101,7 @@ int main(int argc, char** argv) {
   const std::string routerKey = flags.str("router");
   std::vector<ColumnEncoding> encodings;
   for (const std::string& item : splitCommaList(flags.str("encoding"))) {
-    if (item == "dense") {
-      encodings.push_back(ColumnEncoding::Dense);
-    } else if (item == "packed") {
+    if (item == "packed") {
       encodings.push_back(ColumnEncoding::Packed);
     } else if (item == "packed-scalar") {
       encodings.push_back(ColumnEncoding::PackedScalar);

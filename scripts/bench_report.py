@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Perf tracking for the route-service benches and hot-path kernels.
 
-Runs service_qps --smoke, the single-core 64x64 encoding A/B
-(packed/AVX2 lockstep vs forced-scalar lockstep vs dense per-query
-chase, all from one binary), service_churn_qps --smoke (cow +
-deep-clone storage rows), the writer-only publish-latency sweep at
-256x256 and 512x512 (the copy-on-write paged storage A/B:
-pub_p50_us/pub_p99_us per applyEvent against the pre-COW deep-clone
-baseline), the in-process telemetry on/off overhead A/B at the
+Runs service_qps --smoke, the single-core 64x64 engine A/B
+(packed/AVX2 lockstep vs forced-scalar lockstep, both from one binary),
+service_churn_qps --smoke, the writer-only publish-latency sweep at
+256x256 and 512x512 (pub_p50_us/pub_p99_us per applyEvent over the
+copy-on-write paged storage; the retired deep-clone baseline's rows stay
+in BENCH_service.json as the record), the in-process telemetry on/off
+overhead A/B at the
 single-core 64x64 packed point, the failpoint armed/disarmed A/B at the
 same point (both held to the <= 2% hot-path budget), the fleet chaos
 point (applier failpoints armed, bounded queues, supervisor healing on
@@ -126,13 +126,13 @@ def main():
         runs, ["mesh", "encoding", "churn"],
         ["compile_ms", "table_qps", "naive_qps", "speedup"])
 
-    # Single-core batched serve throughput at 64x64, keyed by column
-    # encoding: the packed/AVX2 lockstep engine vs the forced-scalar
-    # lockstep fallback vs the dense per-query chase. This is the
-    # headline A/B for the SIMD batch-serving path — all three rows come
-    # from the same binary, so the dispatch itself is what moves.
+    # Single-core batched serve throughput at 64x64, keyed by serve
+    # engine: the packed/AVX2 lockstep engine vs the forced-scalar
+    # lockstep fallback. This is the headline A/B for the SIMD
+    # batch-serving path — both rows come from the same binary, so the
+    # dispatch itself is what moves.
     runs = [run_json([qps, "--meshes", "64", "--threads", "1",
-                      "--encoding", "packed,packed-scalar,dense",
+                      "--encoding", "packed,packed-scalar",
                       "--churn", "0,4", "--batches", "3",
                       "--format", "json"])
             for _ in range(args.runs)]
@@ -190,23 +190,21 @@ def main():
     if not churn:
         print("service_churn_qps not built", file=sys.stderr)
         return 1
-    runs = [run_json([churn, "--smoke", "--storage", "cow,deep",
-                      "--format", "json"])
+    runs = [run_json([churn, "--smoke", "--format", "json"])
             for _ in range(args.runs)]
     report["service_churn_qps"] = median_by_key(
-        runs, ["mesh", "readers", "writers", "storage"],
+        runs, ["mesh", "readers", "writers"],
         ["agg_qps", "reader_qps", "events/s"])
 
-    # Writer-only publish latency: the COW-vs-deep-clone storage A/B at
+    # Writer-only publish latency of the copy-on-write storage at
     # production-ish mesh sizes (no readers, no compiled columns — the
     # isolated cost of publishing one epoch).
     runs = [run_json([churn, "--meshes", "256,512", "--readers", "0",
                       "--writers", "1", "--events", "200",
-                      "--threads", "4", "--storage", "cow,deep",
-                      "--format", "json"])
+                      "--threads", "4", "--format", "json"])
             for _ in range(args.runs)]
     report["service_publish_latency"] = median_by_key(
-        runs, ["mesh", "storage"],
+        runs, ["mesh"],
         ["pub_p50_us", "pub_p99_us", "events/s"])
 
     # Sharded fleet vs single-service A/B at 256x256 under a fixed

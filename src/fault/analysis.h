@@ -85,9 +85,6 @@ class QuadrantAnalysis {
     return labeler_.removeFault(frame_.toLocal(world));
   }
 
-  /// Forces every paged grid's pages unique (deep-clone baseline).
-  void detachPages() { labeler_.detachPages(); }
-
  private:
   Quadrant quadrant_;
   Frame frame_;
@@ -127,10 +124,6 @@ class FaultAnalysis {
   /// Quadrants are materialized in the clone; the copy shares label/index
   /// pages with this analysis until either side writes (COW).
   std::unique_ptr<FaultAnalysis> cloneFor(const FaultSet& faults) const;
-
-  /// Forces every materialized quadrant's pages unique (the deep-clone
-  /// baseline's cost profile; see ServiceConfig::storage).
-  void detachPages();
 
   /// Patches every materialized quadrant after the underlying FaultSet
   /// gained/lost `world`. The caller must mutate the FaultSet first so

@@ -112,17 +112,6 @@ class IncrementalLabeler {
   const std::deque<LabelDelta>& deltaLog() const { return log_; }
   static constexpr std::size_t kDeltaLogCapacity = 64;
 
-  /// Forces every paged grid's pages AND every shared MCC record unique
-  /// — the pre-COW deep clone duplicated all of it per epoch, so the A/B
-  /// baseline (ServiceConfig::storage) must too.
-  void detachPages() {
-    labels_.detachPages();
-    mccIndex_.detachAll();
-    touchEpoch_.detachAll();
-    beforeRaw_.detachAll();
-    mccs_.detachAll();
-  }
-
  private:
   bool blockedForward(Point p) const;
   bool blockedBackward(Point p) const;

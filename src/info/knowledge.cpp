@@ -404,29 +404,6 @@ double QuadrantInfo::involvedPercentOfSafe() const {
          static_cast<double>(safe);
 }
 
-void QuadrantInfo::detachPages() {
-  knownI_.detachAll();
-  knownII_.detachAll();
-  involvedRefs_.detachAll();
-  involveStamp_.detachAll();
-  stamp_.detachAll();
-  floodStamp_.detachAll();
-  floodStampT_.detachAll();
-  modeStamp_.detachAll();
-  modes_.detachAll();
-  modeStampT_.detachAll();
-  modesT_.detachAll();
-  auto unshare = [](std::vector<std::shared_ptr<const std::vector<Point>>>&
-                        lists) {
-    for (auto& list : lists) {
-      if (list) list = std::make_shared<const std::vector<Point>>(*list);
-    }
-  };
-  unshare(nodesI_);
-  unshare(nodesII_);
-  unshare(footprint_);
-}
-
 QuadrantInfo::QuadrantInfo(const QuadrantInfo& other,
                            const QuadrantAnalysis& qa)
     : QuadrantInfo(other) {
@@ -471,12 +448,6 @@ std::unique_ptr<KnowledgeBundle> KnowledgeBundle::cloneFor(
     }
   }
   return clone;
-}
-
-void KnowledgeBundle::detachPages() {
-  for (auto& quadrants : infos_) {
-    for (auto& info : quadrants) info->detachPages();
-  }
 }
 
 const QuadrantInfo* KnowledgeBundle::find(Quadrant q, InfoModel model) const {

@@ -102,10 +102,6 @@ class QuadrantInfo {
 
   const QuadrantAnalysis& analysis() const { return *analysis_; }
 
-  /// Forces every paged grid's pages unique and unshares the per-id
-  /// reverse maps (deep-clone baseline; see ServiceConfig::storage).
-  void detachPages();
-
  private:
   /// Scratch for one refresh/build pass: the transposed frame the type-II
   /// machinery runs in. Rebuilt per pass (labels mutate between passes).
@@ -196,9 +192,6 @@ class KnowledgeBundle {
   /// until the writer's next refresh touches them (COW).
   std::unique_ptr<KnowledgeBundle> cloneFor(
       const FaultAnalysis& analysis) const;
-
-  /// Forces every quadrant info's pages unique (deep-clone baseline).
-  void detachPages();
 
   /// The captured knowledge for (q, model), or nullptr when the model was
   /// not requested at construction. Returned infos are pre-synced; callers

@@ -1,14 +1,17 @@
-// 3-bit packed next-hop columns: the cache-half-sized serving encoding.
+// 3-bit packed next-hop columns: the route service's only column
+// encoding.
 //
 // A RouteColumn entry has exactly five states (four Dir values plus
 // kNoRoute), which fit in 3 bits; PackedRouteColumn stores two entries
 // per byte (low and high nibble, 3 payload bits each), halving the cache
 // footprint of every column an epoch carries — a 64x64 column drops from
 // 4 KiB to 2 KiB, so a whole destination group's chases run out of L1.
-// The packed column compiles FROM a RouteColumn and patches through the
-// same Router::firstHops batch the dense encoding uses, so the two
-// encodings are bit-identical by construction (and by differential test:
-// tests/packed_column_test.cpp).
+// The packed column compiles FROM a RouteColumn (the dense byte array is
+// compile scratch) and patches through the same Router::firstHops batch
+// RouteColumn::patched uses, so its entries are bit-identical to the
+// dense column's by construction (and by differential test:
+// tests/packed_column_test.cpp). The dense RouteColumn stays as the
+// tests' oracle and as the table behind "table:<key>" routers.
 //
 // The 4th bit of every nibble (kMinimalBit) marks the nodes whose chase
 // delivers in exactly manhattan(u, dest) hops — the Theorem 1 common
@@ -147,21 +150,15 @@ PackedRouteColumn compilePackedRouteColumn(Router& router,
                                            const FaultSet& faults,
                                            Point dest);
 
-/// One compiled column in either encoding. A service compiles exactly
-/// one alternative (ServiceConfig::encoding) and patches preserve it, so
-/// the COW column page table stores shared_ptr<const ColumnVariant>
-/// slots. Under a column byte budget a Dense-encoded service's cache may
-/// DEMOTE resident dense columns to packed (the preferred resident
-/// encoding — half the bytes, identical entries by the shared
-/// firstHops construction), so an epoch chain can carry both
-/// alternatives; every serve path dispatches per slot via std::visit,
-/// and the lockstep batch engine only runs in non-Dense configurations,
-/// where demotion is a no-op.
-using ColumnVariant = std::variant<RouteColumn, PackedRouteColumn>;
+/// One slot of the service's COW column page table. Service columns are
+/// always packed, so the variant has one alternative; it stays a variant
+/// because the perfbench driver (perfbench/meshbench.cpp) reads pinned
+/// slots through std::get_if<PackedRouteColumn>.
+using ColumnVariant = std::variant<PackedRouteColumn>;
 
-/// Resident bytes of a column in either encoding.
+/// Resident bytes of a column slot.
 inline std::size_t columnSizeBytes(const ColumnVariant& column) {
-  return std::visit([](const auto& c) { return c.sizeBytes(); }, column);
+  return std::get<PackedRouteColumn>(column).sizeBytes();
 }
 
 }  // namespace meshrt

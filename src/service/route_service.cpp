@@ -21,6 +21,15 @@ PoolTelemetry servicePoolTelemetry(const TelemetryConfig& telemetry) {
   return pt;
 }
 
+/// The one service compile: `dest`'s packed column over `snap`'s faults
+/// (the dense byte array is compile scratch only).
+std::shared_ptr<const ColumnVariant> compileSlot(Router& router,
+                                                 const ServiceSnapshot& snap,
+                                                 NodeId dest) {
+  return std::make_shared<const ColumnVariant>(compilePackedRouteColumn(
+      router, snap.faults(), snap.mesh().point(dest)));
+}
+
 }  // namespace
 
 RouteService::RouteService(const FaultSet& initial, ServiceConfig cfg)
@@ -46,7 +55,6 @@ RouteService::RouteService(const FaultSet& initial, ServiceConfig cfg)
   chasesDiverged_ = reg.counter("service.chases_diverged");
   chasesRetiredMinimal_ = reg.counter("service.chases_retired_minimal");
   columnsEvicted_ = reg.counter("service.columns.evicted");
-  columnsDemoted_ = reg.counter("service.columns.demoted");
   columnsRecompiled_ = reg.counter("service.columns.recompiled");
   columnsResident_ = reg.gauge("service.columns.resident");
   columnBytes_ = reg.gauge("service.column_bytes");
@@ -126,11 +134,9 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   std::uint64_t swapT0 = timeSwap ? telemetryNowNs() : 0;
   // The capture shares COW pages with the writer's state AND inherits the
   // previous epoch's column table (another page-table copy), so building
-  // the snapshot is O(pages), not O(mesh). The deep-clone baseline then
-  // force-detaches every page — the pre-COW cost profile, for A/B runs.
+  // the snapshot is O(pages), not O(mesh).
   auto next = std::make_unique<ServiceSnapshot>(
       current->epoch() + 1, model_, knowledge_.get(), current.get());
-  if (cfg_.storage == SnapshotStorage::DeepClone) next->detachAllPages();
   if (timeSwap) swapNs += telemetryNowNs() - swapT0;
 
   TraceSpan columnPatchSpan(publishColumnPatchNs_.get());
@@ -146,8 +152,6 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   masked.erase(std::unique(masked.begin(), masked.end()), masked.end());
 
   const std::vector<NodeId> present = next->presentColumns();
-  const std::vector<const ColumnVariant*> oldColumns =
-      next->columnsFor(present);
   std::atomic<std::uint64_t> carried{0};
   std::atomic<std::uint64_t> entries{0};
   ServiceSnapshot& snap = *next;
@@ -162,23 +166,27 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
     std::vector<NodeId> cells;
   };
   std::vector<PatchWork> work(present.size());
-  parallelFor(pool_, present.size(), [&](std::size_t k) {
-    const NodeId id = present[k];
-    if (snap.faults().isFaulty(snap.mesh().point(id))) {
-      work[k].id = id;
-      work[k].drop = true;
-      return;
-    }
-    auto cells = std::visit(
-        [&](const auto& c) { return chaseUpstream(c, snap.mesh(), masked); },
-        *oldColumns[k]);
-    if (cells.empty()) {
-      carried.fetch_add(1);  // the inherited column stands as-is
-      return;
-    }
-    entries.fetch_add(cells.size());
-    work[k] = PatchWork{id, false, std::move(cells)};
-  });
+  {
+    // Owning pins, released before the budget sweep below (which skips
+    // pinned slots).
+    const auto oldColumns = snap.pinColumns(present);
+    parallelFor(pool_, present.size(), [&](std::size_t k) {
+      const NodeId id = present[k];
+      if (snap.faults().isFaulty(snap.mesh().point(id))) {
+        work[k].id = id;
+        work[k].drop = true;
+        return;
+      }
+      auto cells = chaseUpstream(std::get<PackedRouteColumn>(*oldColumns[k]),
+                                 snap.mesh(), masked);
+      if (cells.empty()) {
+        carried.fetch_add(1);  // the inherited column stands as-is
+        return;
+      }
+      entries.fetch_add(cells.size());
+      work[k] = PatchWork{id, false, std::move(cells)};
+    });
+  }
 
   std::uint64_t dropped = 0;
   for (const PatchWork& w : work) {
@@ -195,18 +203,13 @@ std::uint64_t RouteService::applyEvent(const FaultEvent& event) {
   // patched successor REPLACES the inherited column.
   forEachWithChunkRouter(snap, work.size(), [&](Router& router,
                                                 std::size_t i) {
+    // The successor re-derives its hop bound and minimal bits, so its
+    // bytes equal a fresh compile's.
     const auto old = snap.column(work[i].id);
-    // patched() keeps the slot's alternative: a dense column patches to a
-    // dense successor, a packed one to a packed successor (with its hop
-    // bound re-derived) — both through the same Router::firstHops batch.
-    auto successor = std::visit(
-        [&](const auto& c) {
-          return ColumnVariant(c.patched(router, snap.faults(),
-                                         work[i].cells));
-        },
-        *old);
-    snap.replaceColumn(work[i].id, std::make_shared<const ColumnVariant>(
-                                       std::move(successor)));
+    snap.replaceColumn(work[i].id,
+                       std::make_shared<const ColumnVariant>(
+                           std::get<PackedRouteColumn>(*old).patched(
+                               router, snap.faults(), work[i].cells)));
   });
   columnPatchSpan.stop();
   if (carried.load() != 0) columnsCarried_->add(carried.load());
@@ -261,21 +264,9 @@ void RouteService::forEachWithChunkRouter(
 
 void RouteService::compileColumns(const ServiceSnapshot& snap,
                                   std::vector<NodeId> dests) {
-  const bool packed = cfg_.encoding != ColumnEncoding::Dense;
   forEachWithChunkRouter(snap, dests.size(), [&](Router& router,
                                                  std::size_t i) {
-    const Point dest = snap.mesh().point(dests[i]);
-    // Both encodings flow through the same dense compile, so their
-    // entries are bit-identical by construction; packing afterwards only
-    // changes the storage format (and derives the chase hop bound).
-    RouteColumn dense = compileRouteColumn(router, snap.faults(), dest);
-    auto slot =
-        packed ? std::make_shared<const ColumnVariant>(
-                     std::in_place_type<PackedRouteColumn>, dense,
-                     snap.mesh())
-               : std::make_shared<const ColumnVariant>(
-                     std::in_place_type<RouteColumn>, std::move(dense));
-    snap.installColumn(dests[i], std::move(slot));
+    snap.installColumn(dests[i], compileSlot(router, snap, dests[i]));
     columnsCompiled_->add(1);
     // A compile that refills an evicted slot is the budget's extra work;
     // fetch_and hands the bit to exactly one concurrent compiler.
@@ -312,22 +303,12 @@ std::vector<std::shared_ptr<const ColumnVariant>> RouteService::pinOrCompile(
     // Terminal fallback: compile batch-local columns WITHOUT installing
     // them — nothing can evict what the table never held, so the batch
     // makes progress no matter how hot the sweep runs. Identical bytes
-    // to an installed compile (same dense compile, same packing).
-    const bool packed = cfg_.encoding != ColumnEncoding::Dense;
+    // to an installed compile (the same compileSlot).
     std::vector<std::shared_ptr<const ColumnVariant>> local(
         stragglers.size());
     forEachWithChunkRouter(
         snap, stragglers.size(), [&](Router& router, std::size_t i) {
-          const Point dest = snap.mesh().point(dests[stragglers[i]]);
-          RouteColumn dense =
-              compileRouteColumn(router, snap.faults(), dest);
-          local[i] =
-              packed ? std::make_shared<const ColumnVariant>(
-                           std::in_place_type<PackedRouteColumn>, dense,
-                           snap.mesh())
-                     : std::make_shared<const ColumnVariant>(
-                           std::in_place_type<RouteColumn>,
-                           std::move(dense));
+          local[i] = compileSlot(router, snap, dests[stragglers[i]]);
         });
     for (std::size_t i = 0; i < stragglers.size(); ++i) {
       pins[stragglers[i]] = std::move(local[i]);
@@ -342,7 +323,6 @@ std::vector<std::shared_ptr<const ColumnVariant>> RouteService::pinOrCompile(
 void RouteService::maybeEnforceBudget(const ServiceSnapshot& snap) {
   const ColumnEvictStats stats = snap.enforceColumnBudget(cachePolicy_);
   if (stats.evicted != 0) columnsEvicted_->add(stats.evicted);
-  if (stats.demoted != 0) columnsDemoted_->add(stats.demoted);
   columnsResident_->set(static_cast<std::int64_t>(stats.residentCount));
   columnBytes_->set(static_cast<std::int64_t>(stats.residentBytes));
 }
@@ -370,130 +350,33 @@ BatchResult RouteService::serveOn(
   out.hops.assign(batch.size(), 0);
   if (wantPaths) out.paths.resize(batch.size());
 
-  // Tiny batches — the fleet stitcher's per-segment serves are 1-query
-  // calls — skip the O(nodeCount) classification scratch and the pool
-  // dispatch below: a handful of linear dedups and inline scalar chases
-  // cost microseconds where zeroing two nodeCount-sized vectors and a
-  // parallelFor round-trip cost hundreds per call. Outcomes are
-  // identical to the lockstep path (the encodings share one dense
-  // compile, and scalar-vs-lockstep chase parity is pinned by the
-  // packed-column tests).
+  // Status-only batches chase in lockstep (the only status-only engine),
+  // except tiny ones. Tiny batches — the fleet stitcher's per-segment
+  // serves are 1-query calls — and path serves go query by query: tiny
+  // batches skip the O(nodeCount) classification scratch and the pool
+  // dispatch, where zeroing nodeCount-sized vectors and a parallelFor
+  // round-trip would cost hundreds of microseconds per call. Outcomes
+  // are identical either way (scalar-vs-lockstep chase parity is pinned
+  // by the packed-column tests).
   constexpr std::size_t kInlineBatch = 8;
-  if (batch.size() <= kInlineBatch) {
-    TraceSpan classifySpan(serveClassifyNs_.get());
-    std::vector<NodeId> dests;
-    for (const Query& q : batch) {
-      if (q.s == q.d || faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
-        continue;
-      }
-      const NodeId id = m.id(q.d);
-      if (std::find(dests.begin(), dests.end(), id) == dests.end()) {
-        dests.push_back(id);
-      }
-    }
-    std::sort(dests.begin(), dests.end());
-    classifySpan.stop();
-    if (pastDeadline()) {
-      std::fill(out.status.begin(), out.status.end(), ServeStatus::Deadline);
-      queriesServed_->add(batch.size());
-      return out;
-    }
-    // Owning pins instead of raw pointers: under a column budget a sweep
-    // can null a slot mid-batch, but it can never reclaim a column this
-    // batch holds a handle to.
-    std::vector<std::shared_ptr<const ColumnVariant>> resolved;
-    {
-      TraceSpan compileSpan(serveCompileNs_.get());
-      resolved = pinOrCompile(*snap, dests);
-    }
-    TraceSpan chaseSpan(serveChaseNs_.get());
-    const auto bound = static_cast<std::size_t>(m.nodeCount());
-    std::uint64_t divergedInline = 0;
-    std::uint64_t minimalInline = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const Query& q = batch[i];
-      if (pastDeadline()) {
-        out.status[i] = ServeStatus::Deadline;
-        continue;
-      }
-      if (faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
-        out.status[i] = ServeStatus::EndpointFaulty;
-        if (wantPaths) out.paths[i].push_back(q.s);
-        continue;
-      }
-      if (q.s == q.d) {
-        out.status[i] = ServeStatus::Delivered;
-        if (wantPaths) out.paths[i].push_back(q.s);
-        continue;
-      }
-      const NodeId id = m.id(q.d);
-      const ColumnVariant* column = nullptr;
-      for (std::size_t d = 0; d < dests.size(); ++d) {
-        if (dests[d] == id) {
-          column = resolved[d].get();
-          break;
-        }
-      }
-      ServedRoute res = std::visit(
-          [&](const auto& c) {
-            // Without paths, mirror the lockstep engine's tight packed
-            // hop bound: a diverging chase then stops after the proven
-            // delivery bound instead of walking nodeCount steps.
-            std::size_t steps = bound;
-            if constexpr (requires { c.hopBound(); }) {
-              if (!wantPaths) steps = c.hopBound();
-            }
-            ServedRoute r = chaseColumn(c, m, q.s, steps, wantPaths);
-            if constexpr (requires { c.hopBound(); }) {
-              // The chase answers a minimal source from its bit at step
-              // 0, and a source is minimal exactly when it delivers in
-              // Manhattan hops.
-              if (!wantPaths && r.delivered() &&
-                  r.hops == manhattan(q.s, q.d)) {
-                ++minimalInline;
-              }
-            }
-            return r;
-          },
-          *column);
-      out.status[i] = res.status;
-      if (res.status == ServeStatus::Delivered) {
-        out.hops[i] = static_cast<std::int32_t>(res.hops);
-      }
-      if (wantPaths) out.paths[i] = std::move(res.path);
-      if (res.status == ServeStatus::Diverged) ++divergedInline;
-    }
-    chaseSpan.stop();
-    queriesServed_->add(batch.size());
-    if (divergedInline != 0) chasesDiverged_->add(divergedInline);
-    if (minimalInline != 0) chasesRetiredMinimal_->add(minimalInline);
-    resolved.clear();  // release the pins, or the sweep must skip them
-    maybeEnforceBudget(*snap);
-    return out;
-  }
-
-  // The lockstep engines produce status+hops only; whenever paths are
-  // wanted (or the table is dense) every query chases through the scalar
-  // template with the nodeCount bound, which keeps attempted-path
-  // prefixes of Diverged chases identical across encodings.
-  const bool lockstep =
-      cfg_.encoding != ColumnEncoding::Dense && !wantPaths;
+  const bool tiny = batch.size() <= kInlineBatch;
+  const bool lockstep = !tiny && !wantPaths;
 
   // One classification pass: dedup the destinations that need a column
-  // (healthy endpoints, non-self) and — on the lockstep path — retire
+  // (healthy endpoints, non-self). On the lockstep path it also retires
   // the specials into `out` right away while caching every chaseable
   // query's (source, dest) ids and the per-destination counts, so no
-  // later pass repeats the fault lookups. countByDest doubles as the
-  // dedup mask.
+  // later pass repeats the fault lookups; countByDest doubles as the
+  // dedup mask. Per-query serves dedup by sort + unique instead.
   constexpr std::uint32_t kSkipQuery = 0xFFFFFFFFu;
   TraceSpan classifySpan(serveClassifyNs_.get());
-  std::vector<std::uint32_t> countByDest(
-      static_cast<std::size_t>(m.nodeCount()), 0);
+  std::vector<std::uint32_t> countByDest;
   std::vector<std::uint32_t> destOf;
   std::vector<NodeId> srcOf;
   std::size_t chaseable = 0;
   std::vector<NodeId> dests;
   if (lockstep) {
+    countByDest.assign(static_cast<std::size_t>(m.nodeCount()), 0);
     destOf.resize(batch.size());
     srcOf.resize(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -521,52 +404,50 @@ BatchResult RouteService::serveOn(
       if (q.s == q.d || faults.isFaulty(q.s) || faults.isFaulty(q.d)) {
         continue;
       }
-      const NodeId id = m.id(q.d);
-      if (countByDest[static_cast<std::size_t>(id)]++ == 0) {
-        dests.push_back(id);
-      }
+      dests.push_back(m.id(q.d));
     }
   }
   // Deterministic compile order (k entries, not batch-many).
   std::sort(dests.begin(), dests.end());
+  if (!lockstep) {
+    dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+  }
   classifySpan.stop();
   // Deadline gate ahead of the compile (the serve stage with unbounded
   // single-step cost). Queries already retired by the lockstep classify
   // keep their verdicts; everything unchased reports Deadline.
   if (pastDeadline()) {
-    if (lockstep) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (destOf[i] == kSkipQuery) continue;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!lockstep || destOf[i] != kSkipQuery) {
         out.status[i] = ServeStatus::Deadline;
       }
-    } else {
-      std::fill(out.status.begin(), out.status.end(), ServeStatus::Deadline);
     }
     queriesServed_->add(batch.size());
     return out;
   }
-  // Pin owning handles once; the serve loop then runs lock-free against
-  // raw pointers backed by `pinned` (plus the snapshot handle).
-  // pinOrCompile waits on OUR task group only, and its exceptions are
-  // ours alone — after it returns, every requested column is pinned (an
-  // installed one, or a batch-local fallback compile under a hot
-  // eviction sweep), so a chase can never see a null column.
+  // Owning pins, taken once, instead of raw pointers: under a column
+  // budget a sweep can null a slot mid-batch, but it can never reclaim a
+  // column this batch holds a handle to. pinOrCompile waits on OUR task
+  // group only, and its exceptions are ours alone — after it returns,
+  // every requested column is pinned (an installed one, or a batch-local
+  // fallback compile under a hot eviction sweep), so a chase can never
+  // see a null column.
   std::vector<std::shared_ptr<const ColumnVariant>> pinned;
   {
     TraceSpan compileSpan(serveCompileNs_.get());
     pinned = pinOrCompile(*snap, dests);
   }
   std::atomic<std::uint64_t> diverged{0};
+  std::atomic<std::uint64_t> retiredMinimal{0};
+  TraceSpan chaseSpan(serveChaseNs_.get());
 
   if (!lockstep) {
-    std::vector<const ColumnVariant*> byDest(
-        static_cast<std::size_t>(m.nodeCount()), nullptr);
-    for (std::size_t i = 0; i < dests.size(); ++i) {
-      byDest[static_cast<std::size_t>(dests[i])] = pinned[i].get();
-    }
-    const auto maxSteps = static_cast<std::size_t>(m.nodeCount());
-    TraceSpan chaseSpan(serveChaseNs_.get());
-    parallelFor(pool_, batch.size(), [&](std::size_t i) {
+    // The per-query chase. Status-only chases stop at the column's hop
+    // bound, like the lockstep lanes, and answer a minimal source from
+    // its bit at step 0 (a source is minimal exactly when it delivers in
+    // Manhattan hops); path chases walk up to nodeCount steps so a
+    // Diverged chase reports its whole attempted prefix.
+    const auto serveQuery = [&](std::size_t i) {
       const Query& q = batch[i];
       if (pastDeadline()) {
         out.status[i] = ServeStatus::Deadline;
@@ -582,123 +463,132 @@ BatchResult RouteService::serveOn(
         if (wantPaths) out.paths[i].push_back(q.s);
         return;
       }
-      const ColumnVariant* column =
-          byDest[static_cast<std::size_t>(m.id(q.d))];
-      ServedRoute res = std::visit(
-          [&](const auto& c) {
-            return chaseColumn(c, m, q.s, maxSteps, wantPaths);
-          },
-          *column);
+      const auto at =
+          std::lower_bound(dests.begin(), dests.end(), m.id(q.d)) -
+          dests.begin();
+      const auto& column = std::get<PackedRouteColumn>(
+          *pinned[static_cast<std::size_t>(at)]);
+      const std::size_t steps = wantPaths
+                                    ? static_cast<std::size_t>(m.nodeCount())
+                                    : column.hopBound();
+      ServedRoute res = chaseColumn(column, m, q.s, steps, wantPaths);
       out.status[i] = res.status;
       if (res.status == ServeStatus::Delivered) {
         out.hops[i] = static_cast<std::int32_t>(res.hops);
+        if (!wantPaths && res.hops == manhattan(q.s, q.d)) {
+          retiredMinimal.fetch_add(1, std::memory_order_relaxed);
+        }
       }
       if (wantPaths) out.paths[i] = std::move(res.path);
-      if (res.status == ServeStatus::Diverged) diverged.fetch_add(1);
-    });
-    chaseSpan.stop();
-    queriesServed_->add(batch.size());
-    if (diverged.load() != 0) chasesDiverged_->add(diverged.load());
-    pinned.clear();
-    maybeEnforceBudget(*snap);
-    return out;
-  }
-
-  // Lockstep path: bucket chaseable queries by destination (counting
-  // sort over the dedup'd dest list), so each group chases ONE packed
-  // column — one gather base, L1-resident at serving meshes — in 8-wide
-  // lanes. Specials (faulty endpoints, s == d) already retired in the
-  // classification pass above; the fill pass reuses its cached ids so
-  // the batch sees no second round of fault lookups.
-  TraceSpan chaseSpan(serveChaseNs_.get());
-  std::vector<const PackedRouteColumn*> packedOf(
-      static_cast<std::size_t>(m.nodeCount()), nullptr);
-  std::vector<std::uint32_t> groupStart(
-      static_cast<std::size_t>(m.nodeCount()), 0);
-  {
-    std::uint32_t cursor = 0;
-    for (std::size_t i = 0; i < dests.size(); ++i) {
-      const auto di = static_cast<std::size_t>(dests[i]);
-      packedOf[di] = std::get_if<PackedRouteColumn>(pinned[i].get());
-      groupStart[di] = cursor;
-      cursor += countByDest[di];
-      countByDest[di] = 0;  // reused as the per-group fill cursor
-    }
-  }
-  // The fill pass answers every source whose own chase is Manhattan-
-  // minimal straight from its column bit and the query's Points (exact:
-  // that chase delivers in manhattan(s, d) <= hopBound() hops, the
-  // lanes' cap), so only the rest enter lanes; each group fills a
-  // prefix of its range.
-  std::vector<std::uint32_t> queryOf(chaseable);   // grouped -> batch index
-  std::vector<NodeId> srcIds(chaseable);           // grouped source ids
-  std::uint64_t retiredMinimal = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (destOf[i] == kSkipQuery) continue;
-    const auto di = static_cast<std::size_t>(destOf[i]);
-    if (packedOf[di]->minimal(srcOf[i])) {
-      out.status[i] = ServeStatus::Delivered;
-      out.hops[i] =
-          static_cast<std::int32_t>(manhattan(batch[i].s, batch[i].d));
-      ++retiredMinimal;
-      continue;
-    }
-    const std::uint32_t pos = groupStart[di] + countByDest[di]++;
-    queryOf[pos] = static_cast<std::uint32_t>(i);
-    srcIds[pos] = srcOf[i];
-  }
-
-  // Slice the grouped layout into jobs that never split a destination
-  // mid-chunk beyond kChunk lanes; each job chases, then scatters its
-  // own disjoint result range — deterministic for any thread count.
-  struct ChaseJob {
-    const PackedRouteColumn* column;
-    std::uint32_t begin;
-    std::uint32_t end;
-  };
-  constexpr std::uint32_t kChunk = 4096;
-  std::vector<ChaseJob> jobs;
-  for (const NodeId d : dests) {
-    const auto di = static_cast<std::size_t>(d);
-    const std::uint32_t begin = groupStart[di];
-    const std::uint32_t end = begin + countByDest[di];
-    if (begin == end) continue;
-    const PackedRouteColumn* column = packedOf[di];
-    for (std::uint32_t b = begin; b < end; b += kChunk) {
-      jobs.push_back(ChaseJob{column, b, std::min(end, b + kChunk)});
-    }
-  }
-  const bool allowSimd = cfg_.encoding == ColumnEncoding::Packed;
-  std::vector<ServeStatus> groupStatus(chaseable);
-  std::vector<std::int32_t> groupHops(chaseable, 0);
-  parallelFor(pool_, jobs.size(), [&](std::size_t j) {
-    const ChaseJob& job = jobs[j];
-    // Deadline at chase-slice granularity: an expired job retires its
-    // whole slice as Deadline without touching the column; the overshoot
-    // past the deadline is bounded by one kChunk slice's chase.
-    if (pastDeadline()) {
-      for (std::uint32_t p = job.begin; p < job.end; ++p) {
-        out.status[queryOf[p]] = ServeStatus::Deadline;
+      if (res.status == ServeStatus::Diverged) {
+        diverged.fetch_add(1, std::memory_order_relaxed);
       }
-      return;
+    };
+    if (tiny) {
+      for (std::size_t i = 0; i < batch.size(); ++i) serveQuery(i);
+    } else {
+      parallelFor(pool_, batch.size(), serveQuery);
     }
-    chaseBatch(*job.column, srcIds.data() + job.begin, job.end - job.begin,
-               job.column->hopBound(), groupStatus.data() + job.begin,
-               groupHops.data() + job.begin, allowSimd);
-    std::uint64_t localDiverged = 0;
-    for (std::uint32_t p = job.begin; p < job.end; ++p) {
-      const std::uint32_t qi = queryOf[p];
-      out.status[qi] = groupStatus[p];
-      out.hops[qi] = groupHops[p];
-      if (groupStatus[p] == ServeStatus::Diverged) ++localDiverged;
+  } else {
+    // Lockstep path: bucket chaseable queries by destination (counting
+    // sort over the dedup'd dest list), so each group chases ONE packed
+    // column — one gather base, L1-resident at serving meshes — in 8-wide
+    // lanes. Specials (faulty endpoints, s == d) already retired in the
+    // classification pass above; the fill pass reuses its cached ids so
+    // the batch sees no second round of fault lookups.
+    std::vector<const PackedRouteColumn*> packedOf(
+        static_cast<std::size_t>(m.nodeCount()), nullptr);
+    std::vector<std::uint32_t> groupStart(
+        static_cast<std::size_t>(m.nodeCount()), 0);
+    {
+      std::uint32_t cursor = 0;
+      for (std::size_t i = 0; i < dests.size(); ++i) {
+        const auto di = static_cast<std::size_t>(dests[i]);
+        packedOf[di] = &std::get<PackedRouteColumn>(*pinned[i]);
+        groupStart[di] = cursor;
+        cursor += countByDest[di];
+        countByDest[di] = 0;  // reused as the per-group fill cursor
+      }
     }
-    if (localDiverged != 0) diverged.fetch_add(localDiverged);
-  });
+    // The fill pass answers every source whose own chase is Manhattan-
+    // minimal straight from its column bit and the query's Points (exact:
+    // that chase delivers in manhattan(s, d) <= hopBound() hops, the
+    // lanes' cap), so only the rest enter lanes; each group fills a
+    // prefix of its range.
+    std::vector<std::uint32_t> queryOf(chaseable);  // grouped -> batch index
+    std::vector<NodeId> srcIds(chaseable);          // grouped source ids
+    std::uint64_t minimalCount = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (destOf[i] == kSkipQuery) continue;
+      const auto di = static_cast<std::size_t>(destOf[i]);
+      if (packedOf[di]->minimal(srcOf[i])) {
+        out.status[i] = ServeStatus::Delivered;
+        out.hops[i] =
+            static_cast<std::int32_t>(manhattan(batch[i].s, batch[i].d));
+        ++minimalCount;
+        continue;
+      }
+      const std::uint32_t pos = groupStart[di] + countByDest[di]++;
+      queryOf[pos] = static_cast<std::uint32_t>(i);
+      srcIds[pos] = srcOf[i];
+    }
+    retiredMinimal.store(minimalCount, std::memory_order_relaxed);
+
+    // Slice the grouped layout into jobs that never split a destination
+    // mid-chunk beyond kChunk lanes; each job chases, then scatters its
+    // own disjoint result range — deterministic for any thread count.
+    struct ChaseJob {
+      const PackedRouteColumn* column;
+      std::uint32_t begin;
+      std::uint32_t end;
+    };
+    constexpr std::uint32_t kChunk = 4096;
+    std::vector<ChaseJob> jobs;
+    for (const NodeId d : dests) {
+      const auto di = static_cast<std::size_t>(d);
+      const std::uint32_t begin = groupStart[di];
+      const std::uint32_t end = begin + countByDest[di];
+      if (begin == end) continue;
+      const PackedRouteColumn* column = packedOf[di];
+      for (std::uint32_t b = begin; b < end; b += kChunk) {
+        jobs.push_back(ChaseJob{column, b, std::min(end, b + kChunk)});
+      }
+    }
+    const bool allowSimd = cfg_.encoding == ColumnEncoding::Packed;
+    std::vector<ServeStatus> groupStatus(chaseable);
+    std::vector<std::int32_t> groupHops(chaseable, 0);
+    parallelFor(pool_, jobs.size(), [&](std::size_t j) {
+      const ChaseJob& job = jobs[j];
+      // Deadline at chase-slice granularity: an expired job retires its
+      // whole slice as Deadline without touching the column; the
+      // overshoot past the deadline is bounded by one kChunk slice's
+      // chase.
+      if (pastDeadline()) {
+        for (std::uint32_t p = job.begin; p < job.end; ++p) {
+          out.status[queryOf[p]] = ServeStatus::Deadline;
+        }
+        return;
+      }
+      chaseBatch(*job.column, srcIds.data() + job.begin, job.end - job.begin,
+                 job.column->hopBound(), groupStatus.data() + job.begin,
+                 groupHops.data() + job.begin, allowSimd);
+      std::uint64_t localDiverged = 0;
+      for (std::uint32_t p = job.begin; p < job.end; ++p) {
+        const std::uint32_t qi = queryOf[p];
+        out.status[qi] = groupStatus[p];
+        out.hops[qi] = groupHops[p];
+        if (groupStatus[p] == ServeStatus::Diverged) ++localDiverged;
+      }
+      if (localDiverged != 0) diverged.fetch_add(localDiverged);
+    });
+  }
   chaseSpan.stop();
   queriesServed_->add(batch.size());
   if (diverged.load() != 0) chasesDiverged_->add(diverged.load());
-  if (retiredMinimal != 0) chasesRetiredMinimal_->add(retiredMinimal);
-  pinned.clear();
+  if (retiredMinimal.load() != 0) {
+    chasesRetiredMinimal_->add(retiredMinimal.load());
+  }
+  pinned.clear();  // release the pins, or the sweep must skip them
   maybeEnforceBudget(*snap);
   return out;
 }
@@ -727,7 +617,6 @@ ServiceCounters RouteService::counters() const {
   c.queriesServed = queriesServed_->value();
   c.chasesDiverged = chasesDiverged_->value();
   c.columnsEvicted = columnsEvicted_->value();
-  c.columnsDemoted = columnsDemoted_->value();
   c.columnsRecompiled = columnsRecompiled_->value();
   return c;
 }

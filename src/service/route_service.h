@@ -46,48 +46,22 @@
 
 namespace meshrt {
 
-/// How epoch snapshots capture the writer's state.
-enum class SnapshotStorage : std::uint8_t {
-  /// Copy-on-write paged sharing (the default): publishing costs
-  /// O(pages touched by the delta).
-  Cow = 0,
-  /// Every page force-detached after capture — the pre-COW deep clone's
-  /// O(mesh) cost profile, kept as an honest same-binary A/B baseline
-  /// for benches and regression tests.
-  DeepClone = 1,
-};
-
-constexpr std::string_view snapshotStorageName(SnapshotStorage s) {
-  return s == SnapshotStorage::Cow ? "cow" : "deep";
-}
-
-/// How epoch snapshots encode compiled columns and serve batches from
-/// them. All three modes produce bit-identical serve results (the
-/// differential suites in tests/packed_column_test.cpp enforce it); they
-/// differ only in footprint and throughput.
+/// Which lockstep engine serves batches from the snapshots' 3-bit
+/// PackedRouteColumns. Both produce bit-identical serve results (the
+/// differential suites in tests/packed_column_test.cpp enforce it, with
+/// the dense RouteColumn chase as the oracle); they differ only in
+/// throughput.
 enum class ColumnEncoding : std::uint8_t {
-  /// Byte-per-node RouteColumn, per-query scalar chases — the pre-SIMD
-  /// serve path, kept as a same-binary A/B baseline.
-  Dense = 0,
-  /// 3-bit PackedRouteColumn (half the cache footprint), batched queries
-  /// chased in 8-lane lockstep per destination group, AVX2 gather lanes
-  /// when the CPU has them (the default).
-  Packed = 1,
-  /// Packed columns with the SIMD dispatch forced off: the portable
-  /// scalar-lockstep engine, for A/Bs and the CI differential jobs.
-  PackedScalar = 2,
+  /// Batched queries chased in 8-lane lockstep per destination group,
+  /// AVX2 gather lanes when the CPU has them (the default).
+  Packed,
+  /// The SIMD dispatch forced off: the portable scalar-lockstep engine,
+  /// for A/Bs and the CI differential jobs.
+  PackedScalar,
 };
 
 constexpr std::string_view columnEncodingName(ColumnEncoding e) {
-  switch (e) {
-    case ColumnEncoding::Dense:
-      return "dense";
-    case ColumnEncoding::Packed:
-      return "packed";
-    case ColumnEncoding::PackedScalar:
-      return "packed-scalar";
-  }
-  return "?";
+  return e == ColumnEncoding::Packed ? "packed" : "packed-scalar";
 }
 
 struct ServiceConfig {
@@ -100,9 +74,7 @@ struct ServiceConfig {
   /// rb1, {InfoModel::B3} for the rb3 family); empty skips knowledge
   /// capture entirely, which is right for rb2/ecube/optimal-class keys.
   std::vector<InfoModel> captureKnowledge;
-  /// Epoch snapshot storage mode (benches A/B the deep-clone baseline).
-  SnapshotStorage storage = SnapshotStorage::Cow;
-  /// Column encoding + batch serve engine (benches A/B dense vs packed).
+  /// Batch serve engine (benches A/B SIMD vs scalar lockstep).
   ColumnEncoding encoding = ColumnEncoding::Packed;
   /// Resident column byte ceiling for the bounded column cache (0 =
   /// unbounded, the historical behavior). When set, serve tails and
@@ -160,7 +132,8 @@ struct ServiceCounters {
   std::uint64_t chasesDiverged = 0;
   /// Columns evicted by the bounded cache (0 without a budget).
   std::uint64_t columnsEvicted = 0;
-  /// Dense columns demoted to packed by the bounded cache.
+  /// Always 0: columns compile packed and are never re-encoded. Kept
+  /// because the perfbench driver (perfbench/meshbench.cpp) sums it.
   std::uint64_t columnsDemoted = 0;
   /// Compiles that refilled a previously evicted slot (a subset of
   /// columnsCompiled — the budget's extra work, bit-identical output).
@@ -212,8 +185,8 @@ class RouteService {
   /// once it passes, queries not yet chased come back as
   /// ServeStatus::Deadline instead of blocking the reader. The check
   /// runs at chase-slice granularity (kChunk lanes on the lockstep path,
-  /// per parallelFor chunk on the scalar path), so the overshoot past
-  /// the deadline is one slice's chase, not one batch's. A missing
+  /// one query on the per-query path), so the overshoot past the
+  /// deadline is one slice's chase, not one batch's. A missing
   /// column compile that was already in flight runs to completion —
   /// compiles install into the shared snapshot all-or-nothing.
   BatchResult serve(const std::vector<Query>& batch, bool wantPaths = false,
@@ -259,7 +232,7 @@ class RouteService {
   /// between its install and our pin) and falls back to batch-local,
   /// NOT-installed compiles after a few rounds, so progress is
   /// guaranteed; results are bit-identical either way (both flow through
-  /// the same dense compile). Also sets the CLOCK ref bits.
+  /// the same packed compile). Also sets the CLOCK ref bits.
   std::vector<std::shared_ptr<const ColumnVariant>> pinOrCompile(
       const ServiceSnapshot& snap, const std::vector<NodeId>& dests);
   /// Runs the eviction sweep when a budget is configured and refreshes
@@ -298,7 +271,6 @@ class RouteService {
   /// walk at all (packed columns, status/hops serves).
   std::shared_ptr<Counter> chasesRetiredMinimal_;
   std::shared_ptr<Counter> columnsEvicted_;
-  std::shared_ptr<Counter> columnsDemoted_;
   std::shared_ptr<Counter> columnsRecompiled_;
   /// Resident columns / bytes of the current snapshot (set-style gauges,
   /// refreshed by maybeEnforceBudget).

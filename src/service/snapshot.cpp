@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <variant>
 
 namespace meshrt {
 
@@ -68,17 +67,6 @@ void ServiceSnapshot::replaceColumn(
   slot = std::move(column);
 }
 
-std::vector<const ColumnVariant*> ServiceSnapshot::columnsFor(
-    const std::vector<NodeId>& dests) const {
-  std::vector<const ColumnVariant*> out;
-  out.reserve(dests.size());
-  std::lock_guard<std::mutex> lock(columnMutex_);
-  for (NodeId dest : dests) {
-    out.push_back(std::as_const(columns_)[mesh().point(dest)].get());
-  }
-  return out;
-}
-
 std::vector<std::shared_ptr<const ColumnVariant>> ServiceSnapshot::pinColumns(
     const std::vector<NodeId>& dests) const {
   std::vector<std::shared_ptr<const ColumnVariant>> out;
@@ -125,9 +113,8 @@ ColumnEvictStats ServiceSnapshot::enforceColumnBudget(
   const Mesh2D& m = mesh();
   const auto n = static_cast<std::size_t>(m.nodeCount());
   std::size_t hand = policy.hand.load(std::memory_order_relaxed) % n;
-  // 4 passes: one may be spent clearing ref bits, one demoting dense
-  // slots (a demoted slot is CLOCK-considered on the next lap), and the
-  // bound keeps an all-pinned table from spinning forever.
+  // 4 passes: one may be spent clearing ref bits, and the bound keeps an
+  // all-pinned table from spinning forever.
   for (std::size_t step = 0;
        step < 4 * n && residentBytes_ > policy.budgetBytes; ++step) {
     const auto dest = static_cast<NodeId>(hand);
@@ -135,20 +122,6 @@ ColumnEvictStats ServiceSnapshot::enforceColumnBudget(
     const Point p = m.point(dest);
     const auto& slot = std::as_const(columns_)[p];
     if (!slot) continue;
-    if (std::holds_alternative<RouteColumn>(*slot)) {
-      // Demote before any eviction: packed is the preferred resident
-      // encoding (half the bytes, bit-identical entries), so spend the
-      // repack rather than throw compiled work away. The old dense
-      // object stays alive for any batch still pinning it.
-      const auto& dense = std::get<RouteColumn>(*slot);
-      auto packed = std::make_shared<const ColumnVariant>(
-          std::in_place_type<PackedRouteColumn>, dense, m);
-      residentBytes_ -= dense.sizeBytes();
-      residentBytes_ += columnSizeBytes(*packed);
-      columns_[p] = std::move(packed);  // detaches the page if shared
-      ++stats.demoted;
-      continue;
-    }
     auto& state = policy.state[static_cast<std::size_t>(dest)];
     if (state.load(std::memory_order_relaxed) & ColumnCachePolicy::kRefBit) {
       // Second chance: clear the ref bit, evict only if the hand comes
@@ -183,14 +156,6 @@ std::size_t ServiceSnapshot::residentColumnBytes() const {
 std::size_t ServiceSnapshot::residentColumnCount() const {
   std::lock_guard<std::mutex> lock(columnMutex_);
   return residentCount_;
-}
-
-void ServiceSnapshot::detachAllPages() {
-  faults_.detachPages();
-  analysis_->detachPages();
-  if (knowledge_) knowledge_->detachPages();
-  std::lock_guard<std::mutex> lock(columnMutex_);
-  columns_.detachAll();
 }
 
 }  // namespace meshrt

@@ -10,18 +10,18 @@
 // column table are cloned by copying page tables, so building epoch N+1
 // costs O(pages touched by the delta), not O(mesh) — see DESIGN.md
 // section 9. The column table is the one mutable part — columns compile
-// lazily on first demand, under a mutex, and are immutable once
-// installed, so a snapshot converges monotonically toward fully compiled
-// without ever changing an answer. The writer additionally drops and
-// replaces inherited columns on the NOT-YET-PUBLISHED successor; a
-// published snapshot's installed column CONTENT never changes — but under
-// a column byte budget (ServiceConfig::columnBudgetBytes) a slot may be
-// evicted back to null (or a dense slot demoted to its packed twin) by
-// enforceColumnBudget(), and the column recompiles bit-identically on
-// next demand. Serve paths therefore pin owning handles via pinColumns()
-// instead of borrowing raw pointers — an evicted column stays alive for
-// exactly as long as some batch still chases it. See DESIGN.md
-// section 14.
+// lazily on first demand (always as PackedRouteColumns), under a mutex,
+// and are immutable once installed, so a snapshot converges
+// monotonically toward fully compiled without ever changing an answer.
+// The writer additionally drops and replaces inherited columns on the
+// NOT-YET-PUBLISHED successor; a published snapshot's installed column
+// CONTENT never changes — but under a column byte budget
+// (ServiceConfig::columnBudgetBytes) a slot may be evicted back to null
+// by enforceColumnBudget(), and the column recompiles on next demand.
+// Every reader (serve paths and the writer's migration) therefore pins
+// owning handles via pinColumns() instead of borrowing raw pointers — an
+// evicted column stays alive for exactly as long as someone still
+// chases it. See DESIGN.md section 14.
 #pragma once
 
 #include <atomic>
@@ -78,7 +78,6 @@ struct ColumnCachePolicy {
 /// What one enforceColumnBudget() sweep did, plus the footprint after.
 struct ColumnEvictStats {
   std::size_t evicted = 0;
-  std::size_t demoted = 0;
   std::size_t residentBytes = 0;
   std::size_t residentCount = 0;
 };
@@ -122,14 +121,6 @@ class ServiceSnapshot {
   /// inherited column (unlike installColumn, an existing slot LOSES).
   void replaceColumn(NodeId dest, std::shared_ptr<const ColumnVariant> column);
 
-  /// Raw column pointers for `dests`, in order (null where missing),
-  /// resolved under one lock so a serve loop can run lock-free against
-  /// pointers pinned by the snapshot handle it holds. Only safe when no
-  /// column budget is active — eviction can null a slot mid-serve, so
-  /// budget-aware paths must use pinColumns() instead.
-  std::vector<const ColumnVariant*> columnsFor(
-      const std::vector<NodeId>& dests) const;
-
   /// Owning handles for `dests`, in order (null where missing), resolved
   /// under one lock. A pinned column survives eviction for as long as the
   /// caller holds the handle — this is what "batch-pinned columns are
@@ -147,11 +138,6 @@ class ServiceSnapshot {
   /// Number of compiled columns right now.
   std::size_t compiledColumns() const;
 
-  /// Forces every paged grid of the capture unique — the pre-COW deep
-  /// clone's cost profile, kept as an A/B baseline
-  /// (ServiceConfig::storage, bench/service_churn_qps --storage deep).
-  void detachAllPages();
-
   /// The raw paged column table, for page-sharing stats. Only meaningful
   /// on quiescent snapshots (tests/benches): lazy compiles mutate it
   /// under the column mutex.
@@ -166,11 +152,9 @@ class ServiceSnapshot {
     return columns_;
   }
 
-  /// Evicts (and demotes) columns until the resident footprint fits
+  /// Evicts columns until the resident footprint fits
   /// policy.budgetBytes, CLOCK second-chance order from the persisted
-  /// hand. Dense slots are demoted to their packed twin first (half the
-  /// bytes, identical entries by the shared firstHops construction);
-  /// packed slots with the ref bit get a second chance; slots with
+  /// hand. Slots with the ref bit get a second chance; slots with
   /// outstanding pins (batch handles, or pages still shared with a
   /// not-yet-drained neighbor epoch, where eviction would free nothing)
   /// are skipped. Bounded at 4 passes over the table, so an all-pinned

@@ -2,9 +2,9 @@
 // ColumnCachePolicy + enforceColumnBudget, wired through RouteService's
 // pin-or-compile serve path). The budget is a pure footprint knob: every
 // test here asserts that a tightly budgeted service serves bit-identical
-// results to an unbounded one — across registry keys, column encodings,
-// and live churn — while its eviction/demotion/recompile counters prove
-// the budget actually did something. DESIGN.md section 14.
+// results to an unbounded one — across registry keys, serve engines, and
+// live churn — while its eviction/recompile counters prove the budget
+// actually did something. DESIGN.md section 14.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +19,8 @@
 
 namespace meshrt {
 namespace {
+
+using testutil::expectServedMatchesDenseChase;
 
 ServiceConfig cacheConfig(const std::string& key, ColumnEncoding encoding,
                           std::size_t budgetBytes) {
@@ -73,14 +75,14 @@ std::vector<std::uint8_t> columnImage(const ColumnVariant& column,
   std::vector<std::uint8_t> image;
   image.reserve(static_cast<std::size_t>(nodeCount));
   for (NodeId id = 0; id < nodeCount; ++id) {
-    std::visit([&](const auto& c) { image.push_back(c.next(id)); }, column);
+    image.push_back(std::get<PackedRouteColumn>(column).next(id));
   }
   return image;
 }
 
-// The tight budgets below are a handful of columns at 64x64 (dense
-// column = 4096 B, packed ~2051 B): small enough that a pooled workload
-// must evict, large enough that single columns fit.
+// The tight budgets below are a handful of columns at 64x64 (a packed
+// column is 2051 B): small enough that a pooled workload must evict,
+// large enough that single columns fit.
 constexpr std::size_t kTightBudget = 8 * 1024;
 
 TEST(ColumnCacheTest, EvictionDifferentialAcrossKeysAndEncodings) {
@@ -89,7 +91,7 @@ TEST(ColumnCacheTest, EvictionDifferentialAcrossKeysAndEncodings) {
   const FaultSet faults = injectUniform(mesh, 80, rng);
   for (const std::string key : {"ecube", "rb2"}) {
     for (const ColumnEncoding encoding :
-         {ColumnEncoding::Dense, ColumnEncoding::Packed}) {
+         {ColumnEncoding::Packed, ColumnEncoding::PackedScalar}) {
       SCOPED_TRACE(key + "/" + std::string(columnEncodingName(encoding)));
       RouteService unbounded(faults, cacheConfig(key, encoding, 0));
       RouteService bounded(faults,
@@ -106,9 +108,19 @@ TEST(ColumnCacheTest, EvictionDifferentialAcrossKeysAndEncodings) {
         if (faults.isHealthy(p)) toggles.push_back(p);
       }
       for (std::size_t round = 0; round < 4; ++round) {
-        const BatchResult a = unbounded.serve(probe, /*wantPaths=*/true);
+        // The unbounded service never evicts, so its pinned epoch still
+        // holds every column it chased: the dense-chase oracle's input.
+        const auto snap = unbounded.snapshot();
+        const BatchResult a =
+            unbounded.serveOn(snap, probe, /*wantPaths=*/true);
         const BatchResult b = bounded.serve(probe, /*wantPaths=*/true);
+        expectServedMatchesDenseChase(*snap, probe, a);
         expectIdenticalResults(a, b);
+        const BatchResult flatA = unbounded.serveOn(snap, probe);
+        const BatchResult flatB = bounded.serve(probe);
+        expectServedMatchesDenseChase(*snap, probe, flatA);
+        EXPECT_EQ(flatA.status, flatB.status);
+        EXPECT_EQ(flatA.hops, flatB.hops);
         const Point p = toggles[round % toggles.size()];
         if (round % 2 == 0) {
           unbounded.applyAddFault(p);
@@ -208,25 +220,6 @@ TEST(ColumnCacheTest, PinnedColumnNeverEvictedMidBatch) {
   // And the pins themselves stay chaseable images of the original.
   EXPECT_EQ(columnImage(*pins[0], mesh.nodeCount()),
             columnImage(*snap->column(pinnedDests[0]), mesh.nodeCount()));
-}
-
-TEST(ColumnCacheTest, DemotionKeepsServesIdentical) {
-  const Mesh2D mesh = Mesh2D::square(64);
-  Rng rng(7301);
-  const FaultSet faults = injectUniform(mesh, 60, rng);
-  RouteService dense(faults, cacheConfig("ecube", ColumnEncoding::Dense, 0));
-  // A budget between "all dense" and "all packed": the sweep's first
-  // response is demotion, which must already relieve the pressure.
-  RouteService demoting(faults, cacheConfig("ecube", ColumnEncoding::Dense,
-                                            24 * 1024));
-  const std::vector<Query> probe = pooledBatch(mesh, faults, 120, 10, 7302);
-  for (std::size_t round = 0; round < 3; ++round) {
-    const BatchResult a = dense.serve(probe, /*wantPaths=*/true);
-    const BatchResult b = demoting.serve(probe, /*wantPaths=*/true);
-    expectIdenticalResults(a, b);
-  }
-  EXPECT_GT(demoting.counters().columnsDemoted, 0u);
-  EXPECT_LE(demoting.columnFootprint().bytes, 24u * 1024u);
 }
 
 TEST(ColumnCacheTest, BudgetHoldsUnderChurn) {

@@ -8,10 +8,11 @@
 //    state stays bit-for-bit equal to a from-scratch
 //    computeLabels + extractMccs + knowledge rebuild;
 //  - a published service epoch shares > 0 pages with its predecessor
-//    (the deep-clone baseline shares none) while old epochs keep
-//    answering from their own frozen state;
-//  - COW and deep-clone services serve bit-identical results over the
-//    same event sequence;
+//    while old epochs keep answering from their own frozen state;
+//  - under churn, a pinned epoch serves the same batch identically
+//    before and after later publishes, and a column it compiles late
+//    equals one compiled by a fresh service over its fault set — the
+//    writer's next epochs never write into an earlier one's pages;
 //  - concurrent first touch of lazy quadrant materialization is safe
 //    (run under TSan via the CowStorage*/PagedGrid* CI filter).
 #include <gtest/gtest.h>
@@ -68,9 +69,6 @@ TEST(PagedGridTest, CopySharesPagesAndWriteDetachesOnlyTheTouchedTile) {
   EXPECT_EQ((std::as_const(a)[Point{5, 5}]), 5 * 64 + 5);  // no aliased write
   EXPECT_EQ((std::as_const(b)[Point{5, 5}]), -1);
   EXPECT_EQ((std::as_const(b)[Point{6, 5}]), 5 * 64 + 6);  // rest of tile kept
-
-  b.detachAll();
-  EXPECT_EQ(PagedGrid<int>::sharedPageCount(a, b), 0u);
 }
 
 TEST(PagedGridTest, FillDropsPagesAndForEachAllocatedSkipsAbsentTiles) {
@@ -247,39 +245,7 @@ TEST(CowStorageTest, PublishedEpochsSharePagesWithPredecessor) {
             prev->compiledColumns());
 }
 
-TEST(CowStorageTest, DeepCloneBaselineSharesNoPages) {
-  const Mesh2D mesh = Mesh2D::square(24);
-  Rng rng(92);
-  const FaultSet faults = injectUniform(mesh, 40, rng);
-  ServiceConfig cfg;
-  cfg.threads = 1;
-  cfg.storage = SnapshotStorage::DeepClone;
-  RouteService service(faults, cfg);
-  service.serve({{{0, 0}, {20, 20}}, {{1, 1}, {12, 20}}});
-
-  const auto prev = service.snapshot();
-  Point toggle{11, 4};
-  while (prev->faults().isFaulty(toggle)) toggle.x += 1;
-  service.applyAddFault(toggle);
-  const auto next = service.snapshot();
-
-  EXPECT_EQ(PagedGrid<std::uint8_t>::sharedPageCount(
-                prev->faults().pages(), next->faults().pages()),
-            0u);
-  for (int q = 0; q < 4; ++q) {
-    const auto quad = static_cast<Quadrant>(q);
-    EXPECT_EQ(PagedGrid<std::uint8_t>::sharedPageCount(
-                  prev->analysis().quadrant(quad).labels().pages(),
-                  next->analysis().quadrant(quad).labels().pages()),
-              0u);
-  }
-  EXPECT_EQ(
-      PagedGrid<std::shared_ptr<const ColumnVariant>>::sharedPageCount(
-          prev->columnPages(), next->columnPages()),
-      0u);
-}
-
-TEST(CowStorageTest, CowAndDeepCloneServicesServeBitIdentically) {
+TEST(CowStorageTest, PinnedEpochServesIdenticallyAcrossLaterPublishes) {
   const Mesh2D mesh = Mesh2D::square(24);
   Rng rng(93);
   const FaultSet faults = injectUniform(mesh, 50, rng);
@@ -288,35 +254,70 @@ TEST(CowStorageTest, CowAndDeepCloneServicesServeBitIdentically) {
   for (int i = 0; i < 150; ++i) {
     batch.push_back({randomHealthy(faults, qrng), randomHealthy(faults, qrng)});
   }
+  // Destinations no round serves before the churn ends, so each pinned
+  // epoch compiles their columns fresh (patched columns are valid but
+  // not recompile-exact, DESIGN.md 7.2).
+  std::vector<Query> late;
+  while (late.size() < 40) {
+    const Point d = randomHealthy(faults, qrng);
+    if (std::none_of(batch.begin(), batch.end(),
+                     [&](const Query& q) { return q.d == d; })) {
+      late.push_back({randomHealthy(faults, qrng), d});
+    }
+  }
 
-  auto run = [&](SnapshotStorage storage) {
-    ServiceConfig cfg;
-    cfg.threads = 2;
-    cfg.storage = storage;
-    RouteService service(faults, cfg);
-    std::vector<BatchResult> results;
-    Rng churn(95);
-    for (int round = 0; round < 6; ++round) {
-      results.push_back(service.serve(batch, /*wantPaths=*/true));
-      const Point p{static_cast<Coord>(churn.below(24)),
+  ServiceConfig cfg;
+  cfg.threads = 2;
+  RouteService service(faults, cfg);
+  struct Pinned {
+    SnapshotBox<ServiceSnapshot>::Handle snap;
+    BatchResult paths;
+    BatchResult flat;
+  };
+  std::vector<Pinned> pinned;
+  Rng churn(95);
+  for (int round = 0; round < 6; ++round) {
+    Pinned p{service.snapshot(), {}, {}};
+    p.paths = service.serveOn(p.snap, batch, /*wantPaths=*/true);
+    p.flat = service.serveOn(p.snap, batch, /*wantPaths=*/false);
+    pinned.push_back(std::move(p));
+    // Two events per round: every pinned epoch sees at least two later
+    // publishes patch, drop and carry the columns it shares.
+    for (int e = 0; e < 2; ++e) {
+      const Point t{static_cast<Coord>(churn.below(24)),
                     static_cast<Coord>(churn.below(24))};
-      if (service.snapshot()->faults().isFaulty(p)) {
-        service.applyRemoveFault(p);
+      if (service.snapshot()->faults().isFaulty(t)) {
+        service.applyRemoveFault(t);
       } else {
-        service.applyAddFault(p);
+        service.applyAddFault(t);
       }
     }
-    return results;
-  };
+  }
+  ASSERT_EQ(service.epoch(), 12u);
 
-  const auto cow = run(SnapshotStorage::Cow);
-  const auto deep = run(SnapshotStorage::DeepClone);
-  ASSERT_EQ(cow.size(), deep.size());
-  for (std::size_t r = 0; r < cow.size(); ++r) {
-    ASSERT_EQ(cow[r].epoch, deep[r].epoch);
-    ASSERT_EQ(cow[r].status, deep[r].status);
-    EXPECT_EQ(cow[r].hops, deep[r].hops);
-    EXPECT_EQ(cow[r].paths, deep[r].paths);
+  for (std::size_t r = 0; r < pinned.size(); ++r) {
+    SCOPED_TRACE(r);
+    const Pinned& p = pinned[r];
+    const BatchResult paths =
+        service.serveOn(p.snap, batch, /*wantPaths=*/true);
+    ASSERT_EQ(paths.epoch, p.paths.epoch);
+    EXPECT_EQ(paths.status, p.paths.status);
+    EXPECT_EQ(paths.hops, p.paths.hops);
+    EXPECT_EQ(paths.paths, p.paths.paths);
+    const BatchResult flat = service.serveOn(p.snap, batch);
+    EXPECT_EQ(flat.status, p.flat.status);
+    EXPECT_EQ(flat.hops, p.flat.hops);
+
+    // Columns the pinned epoch compiles only now must read its own
+    // frozen state: a fresh service over that fault set (labels derived
+    // from scratch, no column history) serves them identically.
+    RouteService fresh(p.snap->faults(), cfg);
+    const BatchResult lateGot =
+        service.serveOn(p.snap, late, /*wantPaths=*/true);
+    const BatchResult lateWant = fresh.serve(late, /*wantPaths=*/true);
+    EXPECT_EQ(lateGot.status, lateWant.status);
+    EXPECT_EQ(lateGot.hops, lateWant.hops);
+    EXPECT_EQ(lateGot.paths, lateWant.paths);
   }
 }
 

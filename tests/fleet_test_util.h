@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "route/validate.h"
 #include "service/fleet.h"
+#include "test_util.h"
 
 namespace meshrt {
 namespace fleettest {
@@ -175,6 +176,59 @@ inline void expectFleetMatchesSingle(ServiceFleet& fleet,
       // Endpoint faultiness is owner-epoch state == global state here.
       EXPECT_EQ(fr.status[i] == ServeStatus::EndpointFaulty,
                 sr.status[i] == ServeStatus::EndpointFaulty);
+    }
+  }
+}
+
+/// The dense-chase oracle (testutil::denseChase) for one fleet batch
+/// served with paths: every intra-shard query equals the dense chase on
+/// its owner shard's pinned epoch (status, hops and path), and every
+/// segment of every delivered stitched path equals the dense chase
+/// toward the segment's last cell over the pinned column of the shard
+/// that served it. The fleet's services must run without a column
+/// budget, so every chased column is still resident.
+inline void expectFleetMatchesDenseChase(const ShardLayout& layout,
+                                         const std::vector<Query>& batch,
+                                         const FleetBatchResult& r) {
+  ASSERT_EQ(r.size(), batch.size());
+  const auto toGlobal = [&](std::size_t k, std::vector<Point> path) {
+    for (Point& p : path) p = layout.toGlobal(k, p);
+    return path;
+  };
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i) + " " + batch[i].s.str() +
+                 "->" + batch[i].d.str());
+    const std::size_t ks = layout.owner(batch[i].s);
+    if (ks == layout.owner(batch[i].d)) {
+      const ServedRoute want = testutil::denseChase(
+          *r.pinned[ks],
+          {layout.toLocal(ks, batch[i].s), layout.toLocal(ks, batch[i].d)},
+          /*wantPath=*/true);
+      EXPECT_EQ(r.status[i], want.status);
+      EXPECT_EQ(r.hops[i],
+                want.delivered() ? static_cast<std::int32_t>(want.hops) : 0);
+      EXPECT_EQ(r.paths[i], toGlobal(ks, want.path));
+      continue;
+    }
+    if (!r.delivered(i)) continue;
+    const auto& path = r.paths[i];
+    const auto& segs = r.segments[i];
+    ASSERT_FALSE(segs.empty());
+    for (std::size_t j = 0; j < segs.size(); ++j) {
+      const std::size_t k = segs[j].shard;
+      const std::size_t first = segs[j].begin;
+      const std::size_t last =
+          j + 1 < segs.size() ? segs[j + 1].begin - 1 : path.size() - 1;
+      ASSERT_LE(first, last);
+      const ServedRoute want = testutil::denseChase(
+          *r.pinned[k],
+          {layout.toLocal(k, path[first]), layout.toLocal(k, path[last])},
+          /*wantPath=*/true);
+      EXPECT_EQ(want.status, ServeStatus::Delivered) << "segment " << j;
+      const std::vector<Point> chased(
+          path.begin() + static_cast<std::ptrdiff_t>(first),
+          path.begin() + static_cast<std::ptrdiff_t>(last) + 1);
+      EXPECT_EQ(toGlobal(k, want.path), chased) << "segment " << j;
     }
   }
 }

@@ -14,9 +14,10 @@
 //  - the scalar-lockstep and AVX2 batch engines both reproduce the
 //    scalar chaseColumn byte for byte, including NoRoute and Diverged
 //    lanes and sources equal to the destination;
-//  - RouteService serves bit-identical batches under dense, packed and
-//    packed-scalar encodings across live churn (the same-binary A/B the
-//    ServiceConfig knob exists for);
+//  - RouteService serves bit-identical batches under the packed and
+//    packed-scalar engines across live churn (the same-binary A/B the
+//    ServiceConfig knob exists for), each equal to a dense chase over
+//    the entries of the same pinned columns;
 //  - the minimal bit (kMinimalBit) equals its brute-force definition
 //    after compile and after every patch, patched bytes (all 4 bits per
 //    nibble) equal a fresh compile's, and every engine's minimal-node
@@ -34,9 +35,13 @@
 #include "route/packed_column.h"
 #include "route/route_table.h"
 #include "service/route_service.h"
+#include "test_util.h"
 
 namespace meshrt {
 namespace {
+
+using testutil::denseChaseBatch;
+using testutil::expectServedMatchesDenseChase;
 
 std::vector<Query> randomBatch(const Mesh2D& mesh, std::size_t count,
                                std::uint64_t seed) {
@@ -550,11 +555,18 @@ TEST(ServiceEncodingTest, EncodingsServeBitIdenticallyUnderChurn) {
   // path.
   const auto batch = randomBatch(mesh, 200, 3602);
 
+  // The first 8 queries again as a tiny batch: the serial per-query
+  // path the fleet's one-query segment serves take.
+  const std::vector<Query> tiny(batch.begin(), batch.begin() + 8);
+
   struct Round {
-    BatchResult flat;   // wantPaths=false: the lockstep fast path
-    BatchResult paths;  // wantPaths=true: the scalar template path
+    BatchResult flat;       // wantPaths=false: the lockstep fast path
+    BatchResult paths;      // wantPaths=true: the per-query path
+    BatchResult tinyFlat;   // <= 8 queries, serial per-query chases
+    BatchResult tinyPaths;
   };
   auto run = [&](ColumnEncoding encoding) {
+    SCOPED_TRACE(std::string(columnEncodingName(encoding)));
     ServiceConfig cfg;
     cfg.threads = 2;
     cfg.encoding = encoding;
@@ -562,9 +574,17 @@ TEST(ServiceEncodingTest, EncodingsServeBitIdenticallyUnderChurn) {
     std::vector<Round> rounds;
     Rng churn(3603);
     for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE(round);
+      const auto snap = service.snapshot();
       Round r;
-      r.flat = service.serve(batch, /*wantPaths=*/false);
-      r.paths = service.serve(batch, /*wantPaths=*/true);
+      r.flat = service.serveOn(snap, batch, /*wantPaths=*/false);
+      r.paths = service.serveOn(snap, batch, /*wantPaths=*/true);
+      r.tinyFlat = service.serveOn(snap, tiny, /*wantPaths=*/false);
+      r.tinyPaths = service.serveOn(snap, tiny, /*wantPaths=*/true);
+      expectServedMatchesDenseChase(*snap, batch, r.flat);
+      expectServedMatchesDenseChase(*snap, batch, r.paths);
+      expectServedMatchesDenseChase(*snap, tiny, r.tinyFlat);
+      expectServedMatchesDenseChase(*snap, tiny, r.tinyPaths);
       rounds.push_back(std::move(r));
       const Point p{static_cast<Coord>(churn.below(24)),
                     static_cast<Coord>(churn.below(24))};
@@ -577,27 +597,26 @@ TEST(ServiceEncodingTest, EncodingsServeBitIdenticallyUnderChurn) {
     return rounds;
   };
 
-  const auto dense = run(ColumnEncoding::Dense);
-  for (ColumnEncoding other :
-       {ColumnEncoding::Packed, ColumnEncoding::PackedScalar}) {
-    SCOPED_TRACE(std::string(columnEncodingName(other)));
-    const auto rounds = run(other);
-    ASSERT_EQ(rounds.size(), dense.size());
-    for (std::size_t r = 0; r < rounds.size(); ++r) {
-      SCOPED_TRACE(r);
-      ASSERT_EQ(rounds[r].flat.epoch, dense[r].flat.epoch);
-      ASSERT_EQ(rounds[r].flat.status, dense[r].flat.status);
-      ASSERT_EQ(rounds[r].flat.hops, dense[r].flat.hops);
-      ASSERT_EQ(rounds[r].paths.status, dense[r].paths.status);
-      ASSERT_EQ(rounds[r].paths.hops, dense[r].paths.hops);
-      ASSERT_EQ(rounds[r].paths.paths, dense[r].paths.paths);
-    }
+  const auto packed = run(ColumnEncoding::Packed);
+  const auto scalar = run(ColumnEncoding::PackedScalar);
+  ASSERT_EQ(scalar.size(), packed.size());
+  for (std::size_t r = 0; r < scalar.size(); ++r) {
+    SCOPED_TRACE(r);
+    ASSERT_EQ(scalar[r].flat.epoch, packed[r].flat.epoch);
+    ASSERT_EQ(scalar[r].flat.status, packed[r].flat.status);
+    ASSERT_EQ(scalar[r].flat.hops, packed[r].flat.hops);
+    ASSERT_EQ(scalar[r].paths.status, packed[r].paths.status);
+    ASSERT_EQ(scalar[r].paths.hops, packed[r].paths.hops);
+    ASSERT_EQ(scalar[r].paths.paths, packed[r].paths.paths);
+    ASSERT_EQ(scalar[r].tinyFlat.status, packed[r].tinyFlat.status);
+    ASSERT_EQ(scalar[r].tinyFlat.hops, packed[r].tinyFlat.hops);
+    ASSERT_EQ(scalar[r].tinyPaths.paths, packed[r].tinyPaths.paths);
   }
 }
 
 TEST(ServiceEncodingTest, MinimalSourcesAreCountedAndServedIdentically) {
   // The lockstep fill pass answers minimal sources from their column
-  // bit; the answers equal the dense encoding's walk, and the
+  // bit; the answers equal the dense chase's walk, and the
   // service.chases_retired_minimal counter tallies exactly those
   // queries (recomputed here from the pinned snapshot's columns).
   const Mesh2D mesh = Mesh2D::square(24);
@@ -605,18 +624,14 @@ TEST(ServiceEncodingTest, MinimalSourcesAreCountedAndServedIdentically) {
   const FaultSet faults = injectUniform(mesh, 40, rng);
   const auto batch = randomBatch(mesh, 400, 4102);
 
-  ServiceConfig denseCfg;
-  denseCfg.threads = 2;
-  denseCfg.encoding = ColumnEncoding::Dense;
-  RouteService denseService(faults, denseCfg);
-  const BatchResult want = denseService.serve(batch);
-
   MetricsRegistry registry;
   ServiceConfig cfg;
   cfg.threads = 2;
   cfg.telemetry.registry = &registry;
   RouteService service(faults, cfg);
   const BatchResult got = service.serve(batch);
+  const BatchResult want =
+      denseChaseBatch(*service.snapshot(), batch, /*wantPaths=*/false);
   EXPECT_EQ(got.status, want.status);
   EXPECT_EQ(got.hops, want.hops);
 

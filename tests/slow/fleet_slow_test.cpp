@@ -2,8 +2,9 @@
 // with -LE slow, Release runs everything):
 //
 //  - FleetSlowDifferential: the full differential matrix the fast suite
-//    samples — EVERY registry key fleet-vs-single at 64x64, every key x
-//    all three column encodings bitwise-identical, and a 128x128
+//    samples — EVERY registry key fleet-vs-single at 64x64, every key
+//    under both serve engines bitwise-identical and equal to the dense
+//    chase over the same pinned columns, and a 128x128
 //    unrestricted-fault run with per-shard border-clear certification.
 //  - FleetChurn: concurrent per-shard writers (submit* queues) against
 //    concurrent fleet readers; every served path is re-validated against
@@ -28,6 +29,7 @@
 namespace meshrt {
 namespace {
 
+using fleettest::expectFleetMatchesDenseChase;
 using fleettest::expectFleetMatchesSingle;
 using fleettest::fleetConfig;
 using fleettest::injectInterior;
@@ -62,20 +64,18 @@ TEST(FleetSlowDifferential, EveryKeyServesIdenticallyAcrossEncodings) {
     SCOPED_TRACE(key);
     std::vector<FleetBatchResult> results;
     for (const ColumnEncoding enc :
-         {ColumnEncoding::Dense, ColumnEncoding::Packed,
-          ColumnEncoding::PackedScalar}) {
+         {ColumnEncoding::Packed, ColumnEncoding::PackedScalar}) {
+      SCOPED_TRACE(std::string(columnEncodingName(enc)));
       FleetConfig cfg = fleetConfig(key, 2);
       cfg.service.encoding = enc;
       ServiceFleet fleet(faults, cfg);
       results.push_back(fleet.serve(batch, /*wantPaths=*/true));
+      expectFleetMatchesDenseChase(fleet.layout(), batch, results.back());
     }
-    for (std::size_t v = 1; v < results.size(); ++v) {
-      SCOPED_TRACE(v);
-      ASSERT_EQ(results[v].status, results[0].status);
-      EXPECT_EQ(results[v].hops, results[0].hops);
-      EXPECT_EQ(results[v].paths, results[0].paths);
-      EXPECT_EQ(results[v].shardEpochs, results[0].shardEpochs);
-    }
+    ASSERT_EQ(results[1].status, results[0].status);
+    EXPECT_EQ(results[1].hops, results[0].hops);
+    EXPECT_EQ(results[1].paths, results[0].paths);
+    EXPECT_EQ(results[1].shardEpochs, results[0].shardEpochs);
   }
 }
 

@@ -1,9 +1,12 @@
 // Shared helpers for the meshrt test suites.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,7 +14,9 @@
 #include "fault/injectors.h"
 #include "mesh/mesh.h"
 #include "route/registry.h"
+#include "route/packed_column.h"
 #include "route/route_table.h"
+#include "service/route_service.h"
 
 namespace meshrt::testutil {
 
@@ -99,6 +104,80 @@ bool bruteMonotoneReachable(const Mesh2D& mesh, Point a, Point b,
     }
   }
   return false;
+}
+
+// ------------------------------------------------ dense-chase oracle
+//
+// The service serves from packed columns through the lockstep engines
+// (status-only batches) and the packed chaseColumn (tiny batches, path
+// serves), both of which answer minimal sources from the column's
+// minimal bit and cap chases at its hop bound. The oracle re-answers
+// every query the plain way: a hop-by-hop dense chase over the entries
+// of the very column the serve used, capped at nodeCount.
+
+/// A packed column read only through next()/dest(): chaseColumn over
+/// this view is the dense RouteColumn chase (no minimal-bit shortcut).
+struct DenseEntries {
+  const PackedRouteColumn& column;
+  Point dest() const { return column.dest(); }
+  std::uint8_t next(NodeId id) const { return column.next(id); }
+};
+
+/// One query answered on `snap` by the service's endpoint rules and a
+/// dense chase over the column `snap` holds for q.d. Throws when that
+/// column is not resident: call it after the serve, on a service
+/// without a column budget, so the slot holds the column the serve
+/// chased.
+inline ServedRoute denseChase(const ServiceSnapshot& snap, const Query& q,
+                              bool wantPath) {
+  const Mesh2D& mesh = snap.mesh();
+  ServedRoute out;
+  if (snap.faults().isFaulty(q.s) || snap.faults().isFaulty(q.d)) {
+    out.status = ServeStatus::EndpointFaulty;
+  } else if (q.s == q.d) {
+    out.status = ServeStatus::Delivered;
+  } else {
+    const auto column = snap.column(mesh.id(q.d));
+    if (column == nullptr) {
+      throw std::logic_error("denseChase: no resident column for " +
+                             q.d.str());
+    }
+    return chaseColumn(DenseEntries{std::get<PackedRouteColumn>(*column)},
+                       mesh, q.s, static_cast<std::size_t>(mesh.nodeCount()),
+                       wantPath);
+  }
+  if (wantPath) out.path.push_back(q.s);
+  return out;
+}
+
+/// denseChase over a batch, in the serve's BatchResult form.
+inline BatchResult denseChaseBatch(const ServiceSnapshot& snap,
+                                   const std::vector<Query>& batch,
+                                   bool wantPaths) {
+  BatchResult out;
+  out.epoch = snap.epoch();
+  if (wantPaths) out.paths.resize(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ServedRoute r = denseChase(snap, batch[i], wantPaths);
+    out.status.push_back(r.status);
+    out.hops.push_back(r.delivered() ? static_cast<std::int32_t>(r.hops) : 0);
+    if (wantPaths) out.paths[i] = std::move(r.path);
+  }
+  return out;
+}
+
+/// A batch served on `snap` equals its dense-chase oracle: status, hops
+/// and (when served) paths.
+inline void expectServedMatchesDenseChase(const ServiceSnapshot& snap,
+                                          const std::vector<Query>& batch,
+                                          const BatchResult& served) {
+  const bool wantPaths = !served.paths.empty();
+  const BatchResult want = denseChaseBatch(snap, batch, wantPaths);
+  ASSERT_EQ(served.epoch, want.epoch);
+  ASSERT_EQ(served.size(), want.size());
+  EXPECT_EQ(served.status, want.status);
+  EXPECT_EQ(served.hops, want.hops);
+  EXPECT_EQ(served.paths, want.paths);
 }
 
 }  // namespace meshrt::testutil
