@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
+#include <map>
 #include <stdexcept>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -39,6 +41,56 @@ bool touchesOwnedBorder(const ShardLayout& layout, std::size_t k,
   const Rect& r = layout.owned(k);
   return g.x == r.x0 || g.x == r.x1 || g.y == r.y0 || g.y == r.y1;
 }
+
+constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+/// One cross-shard query mid-stitch: where it stands on its current
+/// shard path and the segment chase it waits on.
+struct Stitch {
+  std::uint32_t qi = 0;
+  /// Owners of the query's source and destination.
+  std::uint32_t ks = 0;
+  std::uint32_t kd = 0;
+  /// Index into the batch's plan table; kNone = (re)plan next.
+  std::uint32_t plan = kNone;
+  /// Plans tried so far (the first plus every replan).
+  std::uint32_t attempts = 0;
+  /// Position on the plan's shard sequence.
+  std::uint32_t leg = 0;
+  /// The leg's waypoint order (kNone until resolved) and the cursor of
+  /// the candidate being tried in it.
+  std::uint32_t order = kNone;
+  std::uint32_t cand = 0;
+  /// Segment request awaited (kNone = none).
+  std::uint32_t pending = kNone;
+  /// Cell the next segment starts from (global) and hops stitched so
+  /// far on this plan.
+  Point cur;
+  std::int32_t hops = 0;
+  /// Borders this query gave up on, canonical (min, max) shard pairs.
+  std::vector<std::pair<std::size_t, std::size_t>> blocked;
+  /// Stitched so far (wantPaths only).
+  std::vector<Point> path;
+  std::vector<FleetSegment> segs;
+};
+
+/// One distinct segment chase of the batch, shard-local endpoints.
+struct SegmentChase {
+  enum class State : std::uint8_t { Waiting, Done, Error };
+  Query local;
+  State state = State::Waiting;
+  ServeStatus status = ServeStatus::NoRoute;
+  std::int32_t hops = 0;
+  std::vector<Point> path;  ///< shard-local, wantPaths only
+};
+
+/// One (border, destination) waypoint order: `size` indices into
+/// `*candidates`, stored at `begin` of the batch's flat index array.
+struct WaypointOrder {
+  const std::vector<StitchPlanner::Waypoint>* candidates = nullptr;
+  std::uint32_t begin = 0;
+  std::uint32_t size = 0;
+};
 
 }  // namespace
 
@@ -653,6 +705,10 @@ FleetBatchResult ServiceFleet::serve(const std::vector<Query>& batch,
     }
   }
 
+  // Every shard serve of this batch skips the column-budget sweep; each
+  // shard served on sweeps once at the batch tail, after every pin is
+  // released, so no sub-batch evicts a column a later one needs.
+  std::vector<bool> served(count, false);
   for (std::size_t k = 0; k < count; ++k) {
     if (intra[k].empty()) continue;
     intraQueries_->add(intra[k].size());
@@ -675,10 +731,11 @@ FleetBatchResult ServiceFleet::serve(const std::vector<Query>& batch,
       sub.push_back({layout_.toLocal(k, batch[i].s),
                      layout_.toLocal(k, batch[i].d)});
     }
+    served[k] = true;
     BatchResult r;
     try {
       r = out.services[k]->serveOn(out.pinned[k], sub, wantPaths,
-                                   deadlineNs);
+                                   deadlineNs, /*sweep=*/false);
     } catch (const std::exception&) {
       // Isolate the blast radius to the queries that needed this shard:
       // an injected (or real) serve failure must not take the batch.
@@ -713,17 +770,8 @@ FleetBatchResult ServiceFleet::serve(const std::vector<Query>& batch,
 
   if (!cross.empty()) {
     crossQueries_->add(cross.size());
-    // The planner session binds the SAME pinned handles the segments
-    // are served against — "healthy waypoint" and "chaseable endpoint"
-    // agree within this batch by construction — plus the border epochs
-    // sampled under the pin locks, which key the planner's caches.
-    StitchPlanner::Session session = planner_->session(
-        [&](Point p) {
-          const std::size_t k = layout_.owner(p);
-          return !out.pinned[k]->faults().isFaulty(layout_.toLocal(k, p));
-        },
-        std::move(borderEpochs));
-    SegmentMemo memo;
+    std::vector<std::uint32_t> admitted;
+    admitted.reserve(cross.size());
     for (const std::uint32_t qi : cross) {
       const std::size_t ks = layout_.owner(batch[qi].s);
       const std::size_t kd = layout_.owner(batch[qi].d);
@@ -736,227 +784,305 @@ FleetBatchResult ServiceFleet::serve(const std::vector<Query>& batch,
         out.flags[qi] |= kFleetFlagStale;
         degradedQueries_->add(1);
       }
-      if (pastDeadline()) {
-        expire(qi);
-        continue;
-      }
-      TraceSpan stitchSpan(stitchNs_.get());
-      try {
-        serveCross(session, batch, qi, wantPaths, deadlineNs, memo, out);
-      } catch (const std::exception&) {
-        out.status[qi] = ServeStatus::NoRoute;
-        out.flags[qi] |= kFleetFlagError;
-        serveErrors_->add(1);
-        continue;
-      }
-      if (out.status[qi] == ServeStatus::Deadline) {
-        out.flags[qi] |= kFleetFlagDeadline;
-        deadlineQueries_->add(1);
-      }
+      admitted.push_back(qi);
     }
+    TraceSpan stitchSpan(stitchNs_.get());
+    stitchCross(batch, admitted, wantPaths, deadlineNs,
+                std::move(borderEpochs), served, out);
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    if (served[k]) out.services[k]->maybeEnforceBudget(*out.pinned[k]);
   }
   return out;
 }
 
-BatchResult ServiceFleet::serveSegment(std::size_t k, Point u, Point v,
-                                       bool wantPaths,
-                                       std::uint64_t deadlineNs,
-                                       const FleetBatchResult& out) {
-  const std::vector<Query> one{
-      {layout_.toLocal(k, u), layout_.toLocal(k, v)}};
-  return out.services[k]->serveOn(out.pinned[k], one, wantPaths,
-                                  deadlineNs);
-}
-
-void ServiceFleet::serveCross(StitchPlanner::Session& session,
-                              const std::vector<Query>& batch,
-                              std::size_t qi, bool wantPaths,
-                              std::uint64_t deadlineNs, SegmentMemo& memo,
-                              FleetBatchResult& out) {
-  const Query& q = batch[qi];
-  const std::size_t ks = layout_.owner(q.s);
-  const std::size_t kd = layout_.owner(q.d);
+void ServiceFleet::stitchCross(const std::vector<Query>& batch,
+                               const std::vector<std::uint32_t>& cross,
+                               bool wantPaths, std::uint64_t deadlineNs,
+                               std::vector<std::uint64_t> borderEpochs,
+                               std::vector<bool>& served,
+                               FleetBatchResult& out) {
+  const std::size_t count = shardCount();
+  const Mesh2D& mesh = layout_.mesh();
   const auto faultyIn = [&](std::size_t k, Point p) {
     return out.pinned[k]->faults().isFaulty(layout_.toLocal(k, p));
   };
-  if (faultyIn(ks, q.s) || faultyIn(kd, q.d)) {
-    out.status[qi] = ServeStatus::EndpointFaulty;
-    if (wantPaths) out.paths[qi] = {q.s};
-    return;
-  }
+  // The planner session binds the SAME pinned handles the segments are
+  // served against — "healthy waypoint" and "chaseable endpoint" agree
+  // within this batch by construction — plus the border epochs sampled
+  // under the pin locks, which key the planner's caches.
+  StitchPlanner::Session session = planner_->session(
+      [&](Point p) { return !faultyIn(layout_.owner(p), p); },
+      std::move(borderEpochs));
 
-  // Appends a segment path (shard-local coords) onto the stitched path.
-  // Consecutive segments share exactly their junction cell (the previous
-  // crossing's far cell is the next segment's head), so every append
-  // after the first drops the head.
-  const auto append = [&](std::vector<Point>& path, std::size_t k,
-                          const std::vector<Point>& segment) {
-    for (std::size_t i = path.empty() ? 0 : 1; i < segment.size(); ++i) {
-      path.push_back(layout_.toGlobal(k, segment[i]));
+  // Per-batch planning: one shard path per (source shard, destination
+  // shard, blocked borders) and one waypoint order per (shard, next
+  // shard, destination), shared by every query that needs it.
+  std::map<std::tuple<std::size_t, std::size_t,
+                      std::vector<std::pair<std::size_t, std::size_t>>>,
+           std::uint32_t>
+      planIds;
+  std::vector<std::vector<std::size_t>> plans;
+  const auto planFor = [&](std::size_t ks, std::size_t kd,
+                           const Stitch& st) -> std::uint32_t {
+    auto [it, fresh] = planIds.try_emplace(
+        std::make_tuple(ks, kd, st.blocked),
+        static_cast<std::uint32_t>(plans.size()));
+    if (fresh) {
+      plans.push_back(session.shardPath(
+          ks, kd, st.blocked.empty() ? nullptr : &st.blocked));
     }
+    return it->second;
+  };
+  std::unordered_map<std::uint64_t, std::uint32_t> orderIds(cross.size());
+  std::vector<WaypointOrder> orders;
+  std::vector<std::uint32_t> orderIndex;
+  std::vector<std::uint32_t> scratch;
+  const auto orderFor = [&](std::size_t k, std::size_t kn,
+                            Point d) -> std::uint32_t {
+    const std::uint64_t key =
+        static_cast<std::uint64_t>(k * count + kn) << 32 |
+        static_cast<std::uint32_t>(mesh.id(d));
+    auto [it, fresh] =
+        orderIds.try_emplace(key, static_cast<std::uint32_t>(orders.size()));
+    if (fresh) {
+      const std::vector<StitchPlanner::Waypoint>& candidates =
+          session.crossings(k, kn);
+      stitchWaypointOrder(candidates, k, d, cfg_.portalSpacing,
+                          cfg_.waypointRetries, &scratch);
+      orders.push_back({&candidates,
+                        static_cast<std::uint32_t>(orderIndex.size()),
+                        static_cast<std::uint32_t>(scratch.size())});
+      orderIndex.insert(orderIndex.end(), scratch.begin(), scratch.end());
+    }
+    return it->second;
+  };
+  const auto waypointOf = [&](const Stitch& st)
+      -> const StitchPlanner::Waypoint& {
+    const WaypointOrder& o = orders[st.order];
+    return (*o.candidates)[orderIndex[o.begin + st.cand]];
   };
 
-  // Memoized segment chase: a (shard, from, to) chase that failed for
-  // an earlier query of this batch fails identically here (same pinned
-  // epoch), so skip the serve. Deadline expiries are NOT memoized —
-  // they say nothing about the epoch, only about the clock.
-  bool deadlined = false;
-  const auto chase = [&](std::size_t k, Point u, Point v,
-                         BatchResult& r) -> bool {
-    const auto key = std::make_tuple(k, u.x, u.y, v.x, v.y);
-    if (memo.contains(key)) return false;
-    r = serveSegment(k, u, v, wantPaths, deadlineNs, out);
-    if (r.status[0] == ServeStatus::Delivered) return true;
-    if (r.status[0] == ServeStatus::Deadline) {
-      deadlined = true;
+  // The batch's segment chases, deduplicated per shard by (from, to):
+  // every segment runs against its shard's pinned epoch, so one chase
+  // answers every query that asks for it, in this round or a later one.
+  std::vector<SegmentChase> chases;
+  std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> chaseIds(
+      count, std::unordered_map<std::uint64_t, std::uint32_t>(cross.size()));
+  std::vector<std::vector<std::uint32_t>> requests(count);
+  const auto chaseKey = [&](std::size_t k, const Query& local) {
+    const Mesh2D& m = out.pinned[k]->mesh();
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.id(local.s)))
+               << 32 |
+           static_cast<std::uint32_t>(m.id(local.d));
+  };
+  const auto request = [&](std::size_t k, Point from,
+                           Point to) -> std::uint32_t {
+    const Query local{layout_.toLocal(k, from), layout_.toLocal(k, to)};
+    auto [it, fresh] = chaseIds[k].try_emplace(
+        chaseKey(k, local), static_cast<std::uint32_t>(chases.size()));
+    if (fresh) {
+      chases.emplace_back().local = local;
+      requests[k].push_back(it->second);
+    }
+    return it->second;
+  };
+
+  std::uint64_t retries = 0;
+  std::uint64_t replans = 0;
+  std::uint64_t segments = 0;
+  std::uint64_t errors = 0;
+  std::uint64_t expired = 0;
+  const std::size_t maxPlans = 1 + 2 * count;
+
+  // Advances one query until it finishes (true) or waits on a segment
+  // chase not served yet (false). Every query walks the same decision
+  // sequence the per-query stitcher did: a failed candidate tries the
+  // border's next one, an exhausted border or a failed final leg blocks
+  // that border and replans around it.
+  const auto advance = [&](Stitch& st) -> bool {
+    const Query& q = batch[st.qi];
+    const std::size_t ks = st.ks;
+    const std::size_t kd = st.kd;
+    // Blocks the (a, b) border and replans; false when out of plans.
+    const auto replan = [&](std::size_t a, std::size_t b) {
+      st.blocked.emplace_back(std::min(a, b), std::max(a, b));
+      st.plan = kNone;
+      if (st.attempts < maxPlans) return true;
+      out.status[st.qi] = ServeStatus::NoRoute;
       return false;
-    }
-    memo.insert(key);
-    return false;
-  };
-
-  std::vector<std::pair<std::size_t, std::size_t>> blocked;
-  const std::size_t maxReplans = 1 + 2 * layout_.shardCount();
-  for (std::size_t attempt = 0; attempt < maxReplans; ++attempt) {
-    if (attempt > 0) replans_->add(1);
-    const std::vector<std::size_t> plan =
-        session.shardPath(ks, kd, blocked.empty() ? nullptr : &blocked);
-    if (plan.empty()) {
-      out.status[qi] = ServeStatus::NoRoute;
-      return;
-    }
-
-    Point cur = q.s;
-    std::int32_t hops = 0;
-    std::vector<Point> path;
-    std::vector<FleetSegment> segs;
-    // Start of the segment about to be appended: the junction cell the
-    // previous crossing pushed (or 0 for the first segment).
-    const auto segmentStart = [&] {
-      return static_cast<std::uint32_t>(path.empty() ? 0 : path.size() - 1);
     };
-    bool stitched = true;
-    bool blockable = false;
-    std::pair<std::size_t, std::size_t> failedBorder{};
-    for (std::size_t leg = 0; leg < plan.size(); ++leg) {
-      const std::size_t k = plan[leg];
-      if (leg + 1 == plan.size()) {
-        BatchResult r;
-        if (!chase(k, cur, q.d, r)) {
-          if (deadlined) {
-            out.status[qi] = ServeStatus::Deadline;
-            return;
+    for (;;) {
+      if (st.pending != kNone) {
+        const SegmentChase& c = chases[st.pending];
+        if (c.state == SegmentChase::State::Waiting) return false;
+        st.pending = kNone;
+        if (c.state == SegmentChase::State::Error) {
+          out.status[st.qi] = ServeStatus::NoRoute;
+          out.flags[st.qi] |= kFleetFlagError;
+          ++errors;
+          return true;
+        }
+        if (c.status == ServeStatus::Deadline) {
+          out.status[st.qi] = ServeStatus::Deadline;
+          out.flags[st.qi] |= kFleetFlagDeadline;
+          ++expired;
+          return true;
+        }
+        const std::vector<std::size_t>& plan = plans[st.plan];
+        const std::size_t k = plan[st.leg];
+        const bool last = st.leg + 1 == plan.size();
+        if (c.status != ServeStatus::Delivered) {
+          if (!last) {
+            ++retries;
+            ++st.cand;
+            continue;
           }
           // The entry cell chosen at the previous border may be in a
           // region the destination can't reach locally: retry around.
-          stitched = false;
-          blockable = plan.size() >= 2;
-          if (blockable) {
-            failedBorder = {std::min(plan[leg - 1], k),
-                            std::max(plan[leg - 1], k)};
-          }
-          break;
+          if (!replan(plan[st.leg - 1], k)) return true;
+          continue;
         }
-        hops += r.hops[0];
         if (wantPaths) {
-          segs.push_back({static_cast<std::uint32_t>(k), segmentStart()});
-          append(path, k, r.paths[0]);
+          // Consecutive segments share exactly their junction cell (the
+          // previous crossing's far cell is this segment's head), so
+          // every append after the first drops the head.
+          st.segs.push_back(
+              {static_cast<std::uint32_t>(k),
+               static_cast<std::uint32_t>(
+                   st.path.empty() ? 0 : st.path.size() - 1)});
+          for (std::size_t i = st.path.empty() ? 0 : 1; i < c.path.size();
+               ++i) {
+            st.path.push_back(layout_.toGlobal(k, c.path[i]));
+          }
         }
-        break;
+        if (last) {
+          out.status[st.qi] = ServeStatus::Delivered;
+          out.hops[st.qi] = st.hops + c.hops;
+          segments += plan.size();
+          if (wantPaths) {
+            out.paths[st.qi] = std::move(st.path);
+            out.segments[st.qi] = std::move(st.segs);
+          }
+          return true;
+        }
+        const StitchPlanner::Waypoint& w = waypointOf(st);
+        const Point entry = k == w.shardA ? w.b : w.a;
+        st.hops += c.hops + 1;  // +1: the crossing hop exit -> entry
+        if (wantPaths) st.path.push_back(entry);
+        st.cur = entry;
+        ++st.leg;
+        st.order = kNone;
+        st.cand = 0;
+        continue;
       }
-      const std::size_t kn = plan[leg + 1];
-      const std::vector<StitchPlanner::Waypoint>& candidates =
-          session.crossings(k, kn);
-      const auto cellIn = [&](const StitchPlanner::Waypoint& w) {
-        return k == w.shardA ? w.a : w.b;
-      };
-      const auto cellAcross = [&](const StitchPlanner::Waypoint& w) {
-        return k == w.shardA ? w.b : w.a;
-      };
-      // Candidate order is keyed to the DESTINATION only, never to
-      // `cur`: every query bound for the same destination tries the
-      // same waypoint sequence at this border, so the exit-cell columns
-      // compile once per epoch instead of once per query (pooled
-      // popular destinations are the serving-path common case; a
-      // cur-keyed order costs a column compile per distinct source
-      // position). Within a coarse distance band, portal anchors sort
-      // first (FleetConfig::portalSpacing): fewer distinct exit cells
-      // means fewer waypoint columns to compile and patch per epoch.
-      // The positional tie-break matches the flat graph's global-index
-      // tie-break bit-for-bit: within one border, flat global indices
-      // ascend in crossing-list order.
-      const Coord spacing = cfg_.portalSpacing;
-      const auto nonAnchor = [&](std::size_t wi) {
-        if (spacing <= 0) return false;
-        const Point p = cellIn(candidates[wi]);
-        return (p.x + p.y) % spacing != 0;
-      };
-      const Distance band =
-          spacing > 0 ? static_cast<Distance>(2 * spacing) : 1;
-      std::vector<std::size_t> order(candidates.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const Distance sa = manhattan(cellAcross(candidates[a]), q.d);
-                  const Distance sb = manhattan(cellAcross(candidates[b]), q.d);
-                  if (sa / band != sb / band) return sa / band < sb / band;
-                  const bool na = nonAnchor(a);
-                  const bool nb = nonAnchor(b);
-                  if (na != nb) return nb;
-                  return sa != sb ? sa < sb : a < b;
-                });
-      if (order.size() > cfg_.waypointRetries) {
-        order.resize(cfg_.waypointRetries);
+      if (st.plan == kNone) {
+        if (st.attempts == 0 && (faultyIn(ks, q.s) || faultyIn(kd, q.d))) {
+          out.status[st.qi] = ServeStatus::EndpointFaulty;
+          if (wantPaths) out.paths[st.qi] = {q.s};
+          return true;
+        }
+        if (st.attempts > 0) ++replans;
+        ++st.attempts;
+        st.plan = planFor(ks, kd, st);
+        if (plans[st.plan].empty()) {
+          out.status[st.qi] = ServeStatus::NoRoute;
+          return true;
+        }
+        st.cur = q.s;
+        st.hops = 0;
+        st.leg = 0;
+        st.order = kNone;
+        st.cand = 0;
+        st.path.clear();
+        st.segs.clear();
       }
-      bool crossed = false;
-      for (const std::size_t wi : order) {
-        const StitchPlanner::Waypoint& w = candidates[wi];
-        const Point exit = cellIn(w);
-        const Point entry = cellAcross(w);
+      const std::vector<std::size_t>& plan = plans[st.plan];
+      const std::size_t k = plan[st.leg];
+      if (st.leg + 1 == plan.size()) {
+        st.pending = request(k, st.cur, q.d);
+        continue;
+      }
+      const std::size_t kn = plan[st.leg + 1];
+      if (st.order == kNone) st.order = orderFor(k, kn, q.d);
+      const WaypointOrder& o = orders[st.order];
+      for (; st.cand < o.size; ++st.cand) {
         // The planner vets crossings against each cell's owner. Under
         // churn a halo replica can lag or lead its owner, so the hop is
         // taken only when both pinned shards see both cells healthy.
+        const StitchPlanner::Waypoint& w = waypointOf(st);
+        const Point exit = k == w.shardA ? w.a : w.b;
+        const Point entry = k == w.shardA ? w.b : w.a;
         if (faultyIn(k, entry) || faultyIn(kn, exit)) continue;
-        BatchResult r;
-        if (!chase(k, cur, exit, r)) {
-          if (deadlined) {
-            out.status[qi] = ServeStatus::Deadline;
-            return;
-          }
-          stitchRetries_->add(1);
-          continue;
-        }
-        hops += r.hops[0] + 1;  // +1: the crossing hop exit -> entry
-        if (wantPaths) {
-          segs.push_back({static_cast<std::uint32_t>(k), segmentStart()});
-          append(path, k, r.paths[0]);
-          path.push_back(entry);
-        }
-        cur = entry;
-        crossed = true;
+        st.pending = request(k, st.cur, exit);
         break;
       }
-      if (!crossed) {
-        stitched = false;
-        blockable = true;
-        failedBorder = {std::min(k, kn), std::max(k, kn)};
-        break;
-      }
+      if (st.pending == kNone && !replan(k, kn)) return true;
     }
-    if (stitched) {
-      out.status[qi] = ServeStatus::Delivered;
-      out.hops[qi] = hops;
-      stitchSegments_->add(plan.size());
-      if (wantPaths) {
-        out.paths[qi] = std::move(path);
-        out.segments[qi] = std::move(segs);
-      }
-      return;
-    }
-    if (!blockable) break;
-    blocked.push_back(failedBorder);
+  };
+
+  std::vector<Stitch> live(cross.size());
+  for (std::size_t i = 0; i < cross.size(); ++i) {
+    live[i].qi = cross[i];
+    live[i].ks = static_cast<std::uint32_t>(layout_.owner(batch[cross[i]].s));
+    live[i].kd = static_cast<std::uint32_t>(layout_.owner(batch[cross[i]].d));
   }
-  out.status[qi] = ServeStatus::NoRoute;
+  const auto pastDeadline = [deadlineNs] {
+    return deadlineNs != 0 && telemetryNowNs() >= deadlineNs;
+  };
+  std::vector<Query> sub;
+  while (!live.empty()) {
+    // Deadlines are checked per round: what is still unfinished when
+    // the clock runs out comes back Deadline.
+    if (pastDeadline()) {
+      for (const Stitch& st : live) {
+        out.status[st.qi] = ServeStatus::Deadline;
+        out.flags[st.qi] |= kFleetFlagDeadline;
+      }
+      expired += live.size();
+      break;
+    }
+    std::size_t waiting = 0;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (advance(live[i])) continue;
+      if (waiting != i) live[waiting] = std::move(live[i]);
+      ++waiting;
+    }
+    live.resize(waiting);
+    // One serve per shard over this round's new segment chases. A shard
+    // serve that throws fails exactly the queries waiting on it; the
+    // failed chases leave the cache, so a later request serves afresh.
+    for (std::size_t k = 0; k < count; ++k) {
+      if (requests[k].empty()) continue;
+      served[k] = true;
+      sub.clear();
+      for (const std::uint32_t id : requests[k]) {
+        sub.push_back(chases[id].local);
+      }
+      try {
+        BatchResult r = out.services[k]->serveOn(
+            out.pinned[k], sub, wantPaths, deadlineNs, /*sweep=*/false);
+        for (std::size_t j = 0; j < sub.size(); ++j) {
+          SegmentChase& c = chases[requests[k][j]];
+          c.state = SegmentChase::State::Done;
+          c.status = r.status[j];
+          c.hops = r.hops[j];
+          if (wantPaths) c.path = std::move(r.paths[j]);
+        }
+      } catch (const std::exception&) {
+        for (const std::uint32_t id : requests[k]) {
+          chases[id].state = SegmentChase::State::Error;
+          chaseIds[k].erase(chaseKey(k, chases[id].local));
+        }
+      }
+      requests[k].clear();
+    }
+  }
+  if (retries != 0) stitchRetries_->add(retries);
+  if (replans != 0) replans_->add(replans);
+  if (segments != 0) stitchSegments_->add(segments);
+  if (errors != 0) serveErrors_->add(errors);
+  if (expired != 0) deadlineQueries_->add(expired);
 }
 
 }  // namespace meshrt

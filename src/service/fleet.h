@@ -13,10 +13,12 @@
 //     bit-for-bit the single-service answer (DESIGN.md section 11.3).
 //   - cross-shard: planned over the BoundaryWaypointGraph (a BFS on the
 //     healthy-border shard adjacency), then stitched from per-shard
-//     segment chases. Every segment runs against its shard's pinned
-//     epoch; crossing cells are healthy in the pinned epochs of BOTH
-//     shards they join, so the stitched path is valid under the
-//     per-segment epoch vector the result reports (section 11.4).
+//     segment chases, the whole batch at once in rounds of one shard
+//     serve per shard (stitchCross, section 11.2). Every segment runs
+//     against its shard's pinned epoch; crossing cells are healthy in
+//     the pinned epochs of BOTH shards they join, so the stitched path
+//     is valid under the per-segment epoch vector the result reports
+//     (section 11.4).
 //
 // Fault events route to every shard whose local rectangle holds the cell
 // (owner + halo neighbors): either synchronously (applyAddFault) or
@@ -51,9 +53,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <set>
 #include <string>
-#include <tuple>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -477,25 +477,18 @@ class ServiceFleet {
   SubmitResult submit(Point p, bool add);
   SubmitResult submitWithRetry(Point p, bool add,
                                const SubmitRetryPolicy& policy);
-  /// Failed segment chases of ONE served batch, keyed (shard, from,
-  /// to) in global coordinates. Every segment in a batch runs against
-  /// the same pinned epoch, so a failed chase is failed for every query
-  /// that would repeat it — the memo turns the replan cascades of
-  /// unreachable destinations from per-query into per-batch cost
-  /// without changing a single result bit.
-  using SegmentMemo =
-      std::set<std::tuple<std::size_t, Coord, Coord, Coord, Coord>>;
-  /// Serves one cross-shard query (index qi of `batch`) by planning and
-  /// stitching; writes into `out`.
-  void serveCross(StitchPlanner::Session& session,
-                  const std::vector<Query>& batch, std::size_t qi,
-                  bool wantPaths, std::uint64_t deadlineNs,
-                  SegmentMemo& memo, FleetBatchResult& out);
-  /// One segment chase inside shard k from global u to global v against
-  /// the pinned handle in `out`.
-  BatchResult serveSegment(std::size_t k, Point u, Point v, bool wantPaths,
-                           std::uint64_t deadlineNs,
-                           const FleetBatchResult& out);
+  /// Stitches the admitted cross-shard queries `cross` (indices into
+  /// `batch`) in rounds against the batch's pinned shards: one shard
+  /// path per (source, destination shard) pair and one waypoint order
+  /// per (border, destination) for the whole batch, and per round one
+  /// serveOn per shard over every query's next segment, deduplicated
+  /// (DESIGN.md 11.2). Writes into `out`; sets served[k] for every shard
+  /// it served on.
+  void stitchCross(const std::vector<Query>& batch,
+                   const std::vector<std::uint32_t>& cross, bool wantPaths,
+                   std::uint64_t deadlineNs,
+                   std::vector<std::uint64_t> borderEpochs,
+                   std::vector<bool>& served, FleetBatchResult& out);
 
   FleetConfig cfg_;
   ShardLayout layout_;

@@ -335,7 +335,7 @@ BatchResult RouteService::serve(const std::vector<Query>& batch,
 BatchResult RouteService::serveOn(
     const SnapshotBox<ServiceSnapshot>::Handle& snap,
     const std::vector<Query>& batch, bool wantPaths,
-    std::uint64_t deadlineNs) {
+    std::uint64_t deadlineNs, bool sweep) {
   failpointMaybeThrow(fpServe_);
   const Mesh2D& m = snap->mesh();
   const FaultSet& faults = snap->faults();
@@ -351,8 +351,8 @@ BatchResult RouteService::serveOn(
   if (wantPaths) out.paths.resize(batch.size());
 
   // Status-only batches chase in lockstep (the only status-only engine),
-  // except tiny ones. Tiny batches — the fleet stitcher's per-segment
-  // serves are 1-query calls — and path serves go query by query: tiny
+  // except tiny ones. Tiny batches — a fleet stitch round's sub-batch on
+  // a shard few segments cross — and path serves go query by query: tiny
   // batches skip the O(nodeCount) classification scratch and the pool
   // dispatch, where zeroing nodeCount-sized vectors and a parallelFor
   // round-trip would cost hundreds of microseconds per call. Outcomes
@@ -589,7 +589,7 @@ BatchResult RouteService::serveOn(
     chasesRetiredMinimal_->add(retiredMinimal.load());
   }
   pinned.clear();  // release the pins, or the sweep must skip them
-  maybeEnforceBudget(*snap);
+  if (sweep) maybeEnforceBudget(*snap);
   return out;
 }
 

@@ -198,7 +198,9 @@ class RouteService {
   /// is chased — and later validated — against the same epoch.
   BatchResult serveOn(const SnapshotBox<ServiceSnapshot>::Handle& snap,
                       const std::vector<Query>& batch,
-                      bool wantPaths = false, std::uint64_t deadlineNs = 0);
+                      bool wantPaths = false, std::uint64_t deadlineNs = 0) {
+    return serveOn(snap, batch, wantPaths, deadlineNs, /*sweep=*/true);
+  }
 
   /// Compiles every healthy destination's column in the current snapshot
   /// (bench warm-up / eager mode). With a column budget the compiled set
@@ -239,6 +241,15 @@ class RouteService {
   /// the resident-footprint gauges (always, so unbounded runs export
   /// their footprint too).
   void maybeEnforceBudget(const ServiceSnapshot& snap);
+
+  /// The fleet serves one batch as several sub-batches per shard and
+  /// sweeps each shard's column budget once at the batch tail: it calls
+  /// the sweep-less serveOn below and maybeEnforceBudget itself.
+  friend class ServiceFleet;
+  /// serveOn with the budget sweep at its tail optional (`sweep`).
+  BatchResult serveOn(const SnapshotBox<ServiceSnapshot>::Handle& snap,
+                      const std::vector<Query>& batch, bool wantPaths,
+                      std::uint64_t deadlineNs, bool sweep);
 
   ServiceConfig cfg_;
   DynamicFaultModel model_;                       // writer-side state

@@ -13,6 +13,42 @@ void bump(const std::shared_ptr<Counter>& c, std::uint64_t n = 1) {
 
 }  // namespace
 
+void stitchWaypointOrder(
+    const std::vector<BoundaryWaypointGraph::Waypoint>& candidates,
+    std::size_t k, Point d, Coord portalSpacing, std::size_t retries,
+    std::vector<std::uint32_t>* order) {
+  // One integer key per crossing, (band, non-anchor, distance, index)
+  // from the most significant field down, so the keys' order is the
+  // stitcher's strict total order and a partial sort picks its prefix.
+  // Fields hold 21 bits each: meshes up to 2^20 cells a side.
+  constexpr unsigned kBits = 21;
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << kBits) - 1;
+  const Distance band =
+      portalSpacing > 0 ? static_cast<Distance>(2 * portalSpacing) : 1;
+  // Scratch reused across calls: the fleet computes one order per
+  // (border, destination) of every batch.
+  thread_local std::vector<std::uint64_t> keys;
+  keys.resize(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const BoundaryWaypointGraph::Waypoint& w = candidates[i];
+    const Point near = k == w.shardA ? w.a : w.b;
+    const Point far = k == w.shardA ? w.b : w.a;
+    const auto dist = static_cast<std::uint64_t>(manhattan(far, d));
+    const std::uint64_t nonAnchor =
+        portalSpacing > 0 && (near.x + near.y) % portalSpacing != 0 ? 1 : 0;
+    keys[i] = (dist / static_cast<std::uint64_t>(band)) << (2 * kBits + 1) |
+              nonAnchor << (2 * kBits) | dist << kBits | i;
+  }
+  const std::size_t take = std::min(retries, keys.size());
+  std::partial_sort(keys.begin(),
+                    keys.begin() + static_cast<std::ptrdiff_t>(take),
+                    keys.end());
+  order->resize(take);
+  for (std::size_t i = 0; i < take; ++i) {
+    (*order)[i] = static_cast<std::uint32_t>(keys[i] & kMask);
+  }
+}
+
 StitchPlanner::StitchPlanner(const ShardLayout& layout, StitchPlanMode mode,
                              StitchPlannerCounters counters)
     : layout_(&layout), mode_(mode), counters_(std::move(counters)) {

@@ -90,6 +90,21 @@ struct StitchPlannerCounters {
   std::shared_ptr<Counter> planInvalidations; ///< path-cache clears
 };
 
+/// The waypoint order the stitcher tries at one border: the indices of
+/// the first `retries` crossings of `candidates` (one border's list, as
+/// Session::crossings returns it) for a query leaving shard `k` toward
+/// destination `d`, written to `*order`. Crossings are ranked by the
+/// distance from their far cell (the one outside k) to d, in coarse
+/// bands of 2 * portalSpacing; within a band, portal anchors (near cell
+/// with (x + y) a multiple of portalSpacing) come first, then exact
+/// distance, then list position. portalSpacing 0 disables bands and
+/// anchors. The key depends on d, never on the query's current cell, so
+/// every query bound for d tries the same exits (DESIGN.md 11.2).
+void stitchWaypointOrder(
+    const std::vector<BoundaryWaypointGraph::Waypoint>& candidates,
+    std::size_t k, Point d, Coord portalSpacing, std::size_t retries,
+    std::vector<std::uint32_t>* order);
+
 class StitchPlanner {
  public:
   using Waypoint = BoundaryWaypointGraph::Waypoint;
@@ -148,7 +163,7 @@ class StitchPlanner {
     /// Flat mode: the eager per-batch graph (null in hierarchical mode).
     std::unique_ptr<BoundaryWaypointGraph> flat_;
     /// Flat mode: per-border Waypoint lists copied out of flat_ so both
-    /// modes hand serveCross the same reference type.
+    /// modes hand the stitcher the same reference type.
     std::map<std::size_t, std::vector<Waypoint>> flatBorders_;
     /// Hierarchical mode: per-session resolved entries (one shared-cache
     /// lock per border per batch, not per query).

@@ -26,6 +26,9 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -390,6 +393,146 @@ TEST(FleetBackpressure, OverloadPolicyNamesRoundTrip) {
   EXPECT_FALSE(parseOverloadPolicy("bogus", &untouched));
   EXPECT_FALSE(parseOverloadPolicy("", &untouched));
   EXPECT_EQ(untouched, OverloadPolicy::Shed);
+}
+
+// ------------------------------------------ batched stitch vs reference
+
+// The fleet stitches a batch's cross-shard queries in rounds over a
+// per-batch segment cache; fleettest::referenceStitch is the per-query
+// stitcher it replaced. On the same pinned epochs both must answer
+// every query identically and move the stitch counters by the same
+// amounts. The layouts are dense enough in faults that failed
+// candidates (stitch retries) and replans both occur.
+TEST(FleetTest, BatchedStitchMatchesPerQueryReference) {
+  const Mesh2D mesh = Mesh2D::square(48);
+  std::uint64_t retries = 0;
+  std::uint64_t replans = 0;
+  std::uint64_t delivered = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    const FaultSet faults = injectUniform(mesh, 300, rng);
+    const auto batch = pooledBatch(mesh, 240, 12, seed * 7);
+    for (const std::size_t grid : {2u, 3u}) {
+      for (const StitchPlanMode mode :
+           {StitchPlanMode::Hierarchical, StitchPlanMode::Flat}) {
+        FleetConfig cfg = fleetConfig("rb2", grid);
+        cfg.stitchPlan = mode;
+        ServiceFleet fleet(faults, cfg);
+        for (const bool wantPaths : {true, false}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " grid " +
+                       std::to_string(grid) + " " +
+                       std::string(stitchPlanModeName(mode)) +
+                       (wantPaths ? " paths" : " status"));
+          const FleetCounters before = fleet.counters();
+          const FleetBatchResult r = fleet.serve(batch, wantPaths);
+          const FleetCounters after = fleet.counters();
+          const fleettest::ReferenceStitch want = fleettest::referenceStitch(
+              fleet.layout(), cfg, batch, r, wantPaths);
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            SCOPED_TRACE("query " + std::to_string(i) + " " +
+                         batch[i].s.str() + "->" + batch[i].d.str());
+            EXPECT_EQ(r.status[i], want.status[i]);
+            EXPECT_EQ(r.hops[i], want.hops[i]);
+            EXPECT_EQ(r.flags[i], want.flags[i]);
+            if (wantPaths) {
+              EXPECT_EQ(r.paths[i], want.paths[i]);
+              ASSERT_EQ(r.segments[i].size(), want.segments[i].size());
+              for (std::size_t j = 0; j < want.segments[i].size(); ++j) {
+                EXPECT_EQ(r.segments[i][j].shard, want.segments[i][j].shard);
+                EXPECT_EQ(r.segments[i][j].begin, want.segments[i][j].begin);
+              }
+            }
+            if (r.delivered(i)) ++delivered;
+          }
+          EXPECT_EQ(after.stitchRetries - before.stitchRetries,
+                    want.stitchRetries);
+          EXPECT_EQ(after.replans - before.replans, want.replans);
+          EXPECT_EQ(after.stitchSegments - before.stitchSegments,
+                    want.stitchSegments);
+          EXPECT_EQ(after.serveErrors, before.serveErrors);
+          retries += want.stitchRetries;
+          replans += want.replans;
+        }
+      }
+    }
+  }
+  // The layouts exercise the retry and replan paths, not only the
+  // first-choice waypoint.
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(replans, 0u);
+  EXPECT_GT(delivered, 0u);
+}
+
+// Every shard serve of a fleet batch skips the column-budget sweep, and
+// each shard sweeps once at the batch tail. So under a budget smaller
+// than one batch's working set no column compiles twice within a
+// batch: the first batch compiles exactly the (shard, column) pairs it
+// touches, and a repeat compiles exactly those the tail sweep evicted.
+TEST(FleetTest, BudgetedBatchCompilesEachColumnOnce) {
+  const Mesh2D mesh = Mesh2D::square(48);
+  Rng rng(21);
+  const FaultSet faults = injectUniform(mesh, 150, rng);
+  const auto batch = pooledBatch(mesh, 300, 24, 23);
+  const auto compiled = [](ServiceFleet& fleet) {
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < fleet.shardCount(); ++k) {
+      sum += fleet.shard(k).counters().columnsCompiled;
+    }
+    return sum;
+  };
+  const auto recompiled = [](ServiceFleet& fleet) {
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < fleet.shardCount(); ++k) {
+      sum += fleet.shard(k).counters().columnsRecompiled;
+    }
+    return sum;
+  };
+
+  // The working set: every column the per-query reference's serves
+  // need, on an unbounded fleet (where each compiles exactly once).
+  const FleetConfig unboundedCfg = fleetConfig("rb2", 2);
+  ServiceFleet unbounded(faults, unboundedCfg);
+  const FleetBatchResult ur = unbounded.serve(batch, /*wantPaths=*/false);
+  const std::set<std::pair<std::size_t, NodeId>> touched =
+      fleettest::referenceStitch(unbounded.layout(), unboundedCfg, batch, ur,
+                                 /*wantPaths=*/false)
+          .columns;
+  ASSERT_EQ(compiled(unbounded), touched.size());
+  std::size_t smallest = ur.pinned[0]->residentColumnBytes();
+  for (std::size_t k = 1; k < unbounded.shardCount(); ++k) {
+    smallest = std::min(smallest, ur.pinned[k]->residentColumnBytes());
+  }
+
+  FleetConfig cfg = fleetConfig("rb2", 2);
+  cfg.service.columnBudgetBytes = smallest / 3;
+  ServiceFleet fleet(faults, cfg);
+  const FleetBatchResult first = fleet.serve(batch, /*wantPaths=*/false);
+  EXPECT_EQ(first.status, ur.status);
+  EXPECT_EQ(first.hops, ur.hops);
+  EXPECT_EQ(compiled(fleet) + recompiled(fleet), touched.size());
+  EXPECT_EQ(recompiled(fleet), 0u);
+  std::uint64_t evicted = 0;
+  std::size_t resident = 0;
+  for (std::size_t k = 0; k < fleet.shardCount(); ++k) {
+    evicted += fleet.shard(k).counters().columnsEvicted;
+    for (const auto& [shard, dest] : touched) {
+      if (shard == k && fleet.shard(k).snapshot()->column(dest) != nullptr) {
+        ++resident;
+      }
+    }
+  }
+  // The budget is below every shard's working set: the tail sweep
+  // evicted, and what it left stays resident for the repeat.
+  ASSERT_GT(evicted, 0u);
+  ASSERT_LT(resident, touched.size());
+
+  const std::uint64_t compiledBefore = compiled(fleet);
+  const std::uint64_t recompiledBefore = recompiled(fleet);
+  const FleetBatchResult repeat = fleet.serve(batch, /*wantPaths=*/false);
+  EXPECT_EQ(repeat.status, ur.status);
+  EXPECT_EQ(repeat.hops, ur.hops);
+  EXPECT_EQ(compiled(fleet) - compiledBefore, touched.size() - resident);
+  EXPECT_EQ(recompiled(fleet) - recompiledBefore, touched.size() - resident);
 }
 
 // ------------------------------------------------- event routing

@@ -1,13 +1,18 @@
 // Shared helpers for the fleet differential suites (tests/fleet_test.cpp
 // and the slow full-matrix suite in tests/slow/): batch generators, the
 // interior-fault injector whose configurations certify every shard
-// border-clear, per-key service configs, and the fleet-vs-single
-// differential assertion.
+// border-clear, per-key service configs, the fleet-vs-single
+// differential assertion, and the per-query reference stitcher.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -283,6 +288,237 @@ inline void validateAgainstPinnedEpochs(const ShardLayout& layout,
       }
     }
   }
+}
+
+
+/// The stitcher's waypoint order at one border, by the definition: the
+/// full candidate list sorted with this comparator, cut to `retries`.
+/// Candidates rank by their far cell's distance to `d` in bands of
+/// 2 * portalSpacing, portal anchors first within a band, then by exact
+/// distance, then by list position.
+inline std::vector<std::size_t> referenceWaypointOrder(
+    const std::vector<StitchPlanner::Waypoint>& candidates, std::size_t k,
+    Point d, Coord portalSpacing, std::size_t retries) {
+  const auto cellIn = [&](std::size_t wi) {
+    return k == candidates[wi].shardA ? candidates[wi].a : candidates[wi].b;
+  };
+  const auto cellAcross = [&](std::size_t wi) {
+    return k == candidates[wi].shardA ? candidates[wi].b : candidates[wi].a;
+  };
+  const auto nonAnchor = [&](std::size_t wi) {
+    if (portalSpacing <= 0) return false;
+    const Point p = cellIn(wi);
+    return (p.x + p.y) % portalSpacing != 0;
+  };
+  const Distance band =
+      portalSpacing > 0 ? static_cast<Distance>(2 * portalSpacing) : 1;
+  std::vector<std::size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const Distance sa = manhattan(cellAcross(a), d);
+    const Distance sb = manhattan(cellAcross(b), d);
+    if (sa / band != sb / band) return sa / band < sb / band;
+    const bool na = nonAnchor(a);
+    const bool nb = nonAnchor(b);
+    if (na != nb) return nb;
+    return sa != sb ? sa < sb : a < b;
+  });
+  if (order.size() > retries) order.resize(retries);
+  return order;
+}
+
+/// What the per-query reference stitcher answers for one batch, in
+/// FleetBatchResult's conventions, plus the counter deltas the fleet
+/// would report for it and every (shard, shard-local destination
+/// NodeId) column its serves needed.
+struct ReferenceStitch {
+  std::vector<ServeStatus> status;
+  std::vector<std::int32_t> hops;
+  std::vector<std::vector<Point>> paths;
+  std::vector<std::vector<FleetSegment>> segments;
+  std::vector<std::uint8_t> flags;
+  std::uint64_t stitchRetries = 0;
+  std::uint64_t replans = 0;
+  std::uint64_t stitchSegments = 0;
+  std::set<std::pair<std::size_t, NodeId>> columns;
+};
+
+/// The per-query stitcher, built only from public APIs: a fresh
+/// StitchPlanner over `layout`, and one RouteService::serveOn call per
+/// intra-shard sub-batch and per segment chase, against the services
+/// and snapshots `pins` (a served FleetBatchResult) pinned. Each cross
+/// query plans its own shard path and sorts each border's full
+/// candidate list with the comparator below; failed chases are
+/// memoized per batch. No admission control and no deadline: flags stay
+/// 0, and a throwing serve propagates. This is the semantics the
+/// fleet's batched stitcher must reproduce bit for bit.
+inline ReferenceStitch referenceStitch(const ShardLayout& layout,
+                                       const FleetConfig& cfg,
+                                       const std::vector<Query>& batch,
+                                       const FleetBatchResult& pins,
+                                       bool wantPaths) {
+  using Waypoint = StitchPlanner::Waypoint;
+  const std::size_t count = layout.shardCount();
+  ReferenceStitch out;
+  out.status.assign(batch.size(), ServeStatus::NoRoute);
+  out.hops.assign(batch.size(), 0);
+  out.flags.assign(batch.size(), 0);
+  if (wantPaths) {
+    out.paths.resize(batch.size());
+    out.segments.resize(batch.size());
+  }
+  const auto faultyIn = [&](std::size_t k, Point p) {
+    return pins.pinned[k]->faults().isFaulty(layout.toLocal(k, p));
+  };
+  // One serveOn of shard-local queries, recording the columns it needs.
+  const auto serveLocal = [&](std::size_t k, const std::vector<Query>& sub) {
+    const Mesh2D& m = pins.pinned[k]->mesh();
+    for (const Query& q : sub) {
+      const FaultSet& f = pins.pinned[k]->faults();
+      if (q.s != q.d && f.isHealthy(q.s) && f.isHealthy(q.d)) {
+        out.columns.emplace(k, m.id(q.d));
+      }
+    }
+    return pins.services[k]->serveOn(pins.pinned[k], sub, wantPaths);
+  };
+
+  std::vector<std::vector<std::size_t>> intra(count);
+  std::vector<std::size_t> cross;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::size_t ks = layout.owner(batch[i].s);
+    if (ks == layout.owner(batch[i].d)) {
+      intra[ks].push_back(i);
+    } else {
+      cross.push_back(i);
+    }
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    if (intra[k].empty()) continue;
+    std::vector<Query> sub;
+    for (const std::size_t i : intra[k]) {
+      sub.push_back(
+          {layout.toLocal(k, batch[i].s), layout.toLocal(k, batch[i].d)});
+    }
+    BatchResult r = serveLocal(k, sub);
+    for (std::size_t j = 0; j < sub.size(); ++j) {
+      const std::size_t i = intra[k][j];
+      out.status[i] = r.status[j];
+      out.hops[i] = r.hops[j];
+      if (!wantPaths) continue;
+      for (Point& p : r.paths[j]) p = layout.toGlobal(k, p);
+      out.paths[i] = std::move(r.paths[j]);
+      if (out.status[i] == ServeStatus::Delivered) {
+        out.segments[i] = {{static_cast<std::uint32_t>(k), 0}};
+      }
+    }
+  }
+
+  StitchPlanner planner(layout, cfg.stitchPlan, StitchPlannerCounters{});
+  StitchPlanner::Session session = planner.session(
+      [&](Point p) { return !faultyIn(layout.owner(p), p); },
+      std::vector<std::uint64_t>(count, 0));
+  std::set<std::tuple<std::size_t, Point, Point>> failed;
+  const auto chase = [&](std::size_t k, Point u, Point v, BatchResult& r) {
+    if (failed.contains({k, u, v})) return false;
+    r = serveLocal(k, {{layout.toLocal(k, u), layout.toLocal(k, v)}});
+    if (r.status[0] == ServeStatus::Delivered) return true;
+    failed.insert({k, u, v});
+    return false;
+  };
+  const auto append = [&](std::vector<Point>& path, std::size_t k,
+                          const std::vector<Point>& segment) {
+    for (std::size_t i = path.empty() ? 0 : 1; i < segment.size(); ++i) {
+      path.push_back(layout.toGlobal(k, segment[i]));
+    }
+  };
+
+  for (const std::size_t qi : cross) {
+    const Query& q = batch[qi];
+    const std::size_t ks = layout.owner(q.s);
+    const std::size_t kd = layout.owner(q.d);
+    if (faultyIn(ks, q.s) || faultyIn(kd, q.d)) {
+      out.status[qi] = ServeStatus::EndpointFaulty;
+      if (wantPaths) out.paths[qi] = {q.s};
+      continue;
+    }
+    std::vector<std::pair<std::size_t, std::size_t>> blocked;
+    const std::size_t maxPlans = 1 + 2 * count;
+    for (std::size_t attempt = 0; attempt < maxPlans; ++attempt) {
+      if (attempt > 0) ++out.replans;
+      const std::vector<std::size_t> plan =
+          session.shardPath(ks, kd, blocked.empty() ? nullptr : &blocked);
+      if (plan.empty()) break;
+      Point cur = q.s;
+      std::int32_t hops = 0;
+      std::vector<Point> path;
+      std::vector<FleetSegment> segs;
+      const auto start = [&] {
+        return static_cast<std::uint32_t>(path.empty() ? 0 : path.size() - 1);
+      };
+      std::pair<std::size_t, std::size_t> failedBorder{count, count};
+      for (std::size_t leg = 0; leg < plan.size(); ++leg) {
+        const std::size_t k = plan[leg];
+        BatchResult r;
+        if (leg + 1 == plan.size()) {
+          if (!chase(k, cur, q.d, r)) {
+            failedBorder = {std::min(plan[leg - 1], k),
+                            std::max(plan[leg - 1], k)};
+            break;
+          }
+          hops += r.hops[0];
+          if (wantPaths) {
+            segs.push_back({static_cast<std::uint32_t>(k), start()});
+            append(path, k, r.paths[0]);
+          }
+          break;
+        }
+        const std::size_t kn = plan[leg + 1];
+        const std::vector<Waypoint>& candidates = session.crossings(k, kn);
+        const auto cellIn = [&](const Waypoint& w) {
+          return k == w.shardA ? w.a : w.b;
+        };
+        const auto cellAcross = [&](const Waypoint& w) {
+          return k == w.shardA ? w.b : w.a;
+        };
+        const std::vector<std::size_t> order = referenceWaypointOrder(
+            candidates, k, q.d, cfg.portalSpacing, cfg.waypointRetries);
+        bool crossed = false;
+        for (const std::size_t wi : order) {
+          const Waypoint& w = candidates[wi];
+          if (faultyIn(k, cellAcross(w)) || faultyIn(kn, cellIn(w))) continue;
+          if (!chase(k, cur, cellIn(w), r)) {
+            ++out.stitchRetries;
+            continue;
+          }
+          hops += r.hops[0] + 1;
+          if (wantPaths) {
+            segs.push_back({static_cast<std::uint32_t>(k), start()});
+            append(path, k, r.paths[0]);
+            path.push_back(cellAcross(w));
+          }
+          cur = cellAcross(w);
+          crossed = true;
+          break;
+        }
+        if (!crossed) {
+          failedBorder = {std::min(k, kn), std::max(k, kn)};
+          break;
+        }
+      }
+      if (failedBorder.first == count) {
+        out.status[qi] = ServeStatus::Delivered;
+        out.hops[qi] = hops;
+        out.stitchSegments += plan.size();
+        if (wantPaths) {
+          out.paths[qi] = std::move(path);
+          out.segments[qi] = std::move(segs);
+        }
+        break;
+      }
+      blocked.push_back(failedBorder);
+    }
+  }
+  return out;
 }
 
 }  // namespace fleettest

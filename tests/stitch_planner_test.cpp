@@ -140,5 +140,45 @@ TEST(StitchPlanTest, BorderEpochBumpsOnlyOnRingEvents) {
   EXPECT_EQ(after.planInvalidations, warm.planInvalidations);
 }
 
+// The batched stitcher ranks a border's candidates by one integer key
+// and a partial sort; on random candidate lists (distance ties,
+// portalSpacing 0 and > 0, fewer candidates than waypointRetries) its
+// selection must be the prefix of a full sort with the comparator
+// (fleettest::referenceWaypointOrder).
+TEST(StitchPlanTest, WaypointOrderIsTheFullSortPrefix) {
+  Rng rng(9301);
+  std::size_t ties = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // Crossings of a vertical border x = 15 | 16 between shards 0 and 1,
+    // a random subset of rows, so positions (and distance ties) vary.
+    std::vector<StitchPlanner::Waypoint> candidates;
+    for (Coord y = 0; y < 32; ++y) {
+      if (rng.below(3) == 0) continue;
+      candidates.push_back({{15, y}, {16, y}, 0, 1});
+    }
+    const std::size_t keep = rng.below(candidates.size() + 1);
+    candidates.resize(keep);
+    const std::size_t k = rng.below(2);
+    const Point d{static_cast<Coord>(rng.below(32)),
+                  static_cast<Coord>(rng.below(32))};
+    const Coord spacing = static_cast<Coord>(rng.below(6));
+    const std::size_t retries = 1 + rng.below(6);
+    std::vector<std::uint32_t> got;
+    stitchWaypointOrder(candidates, k, d, spacing, retries, &got);
+    const std::vector<std::size_t> want = fleettest::referenceWaypointOrder(
+        candidates, k, d, spacing, retries);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "trial " << trial << " rank " << i;
+    }
+    for (std::size_t i = 1; i < candidates.size(); ++i) {
+      if (manhattan(candidates[i].b, d) == manhattan(candidates[i - 1].b, d)) {
+        ++ties;
+      }
+    }
+  }
+  EXPECT_GT(ties, 0u);
+}
+
 }  // namespace
 }  // namespace meshrt
